@@ -1,9 +1,10 @@
 """Deciding whether a pattern is unavoidable.
 
 Two independent deciders.  The reduction method deletes free variable
-sets until the pattern vanishes; the ranking method searches for a
-ranking admitting a match.  Both characterize the same class, so they
-must always agree, which the test suite exploits.
+sets until the pattern vanishes; the ranking method searches, layer by
+layer from the top rank down, for a ranking admitting a match.  Both
+characterize the same class, so they must always agree, which the test
+suite exploits.
 
 Variable counts are capped: both searches are exponential in the number
 of distinct variables by nature.
@@ -15,13 +16,9 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
+from .boundary import count_free_components
 from .errors import SizeLimitError
-from .matching import (
-    MatchResult,
-    RankedPattern,
-    compressed_embedding,
-    validate_ranking,
-)
+from .matching import MatchResult, RankedPattern, compressed_embedding
 
 MAX_VARIABLES = 8
 
@@ -92,6 +89,7 @@ def delete_variables(pattern, variables) -> tuple:
 class ReductionResult:
     verdict: Verdict
     trace: tuple  # ((pattern, deleted_set), ...) down to the empty pattern
+    nodes: int = 0  # dfs calls
 
 
 def _canonical(pattern) -> tuple:
@@ -123,8 +121,11 @@ def is_unavoidable_by_reduction(pattern, max_free_set_size=None) -> ReductionRes
 
     dead: set = set()
     trace: list = []
+    nodes = 0
 
     def dfs(p) -> bool:
+        nonlocal nodes
+        nodes += 1
         if not p:
             return True
         key = _canonical(p)
@@ -147,8 +148,9 @@ def is_unavoidable_by_reduction(pattern, max_free_set_size=None) -> ReductionRes
         return False
 
     if dfs(pattern):
-        return ReductionResult(Verdict.UNAVOIDABLE, tuple(trace))
-    return ReductionResult(Verdict.AVOIDABLE if complete else Verdict.INCONCLUSIVE, ())
+        return ReductionResult(Verdict.UNAVOIDABLE, tuple(trace), nodes)
+    verdict = Verdict.AVOIDABLE if complete else Verdict.INCONCLUSIVE
+    return ReductionResult(verdict, (), nodes)
 
 
 @dataclass(frozen=True)
@@ -156,14 +158,21 @@ class RankingResult:
     verdict: Verdict
     ranking: dict | None
     match: MatchResult | None
+    nodes: int = 0  # layer systems solved
 
 
 def is_unavoidable_by_ranking(pattern) -> RankingResult:
-    """Search rankings in lexicographic order for one that matches.
+    """Search rank layers top down for a ranking that admits a match.
 
-    Only rankings onto an interval {1..m} are tried; anything else is
-    equivalent to its relabeling.  A pattern is unavoidable iff some
-    valid ranking exists, so exhausting the space is a decision.
+    A ranking onto {1..m} is a sequence of layers, the variables of rank
+    m, m-1, ..., 1.  The engine matches it iff no level system clashes,
+    and the level-i system (the projection onto ranks >= i with the
+    rank-i variables forced) depends only on the set P of variables
+    ranked above i and on the layer of rank i.  So the search runs over
+    placed sets P, from none to all, and remembers every P from which no
+    layering succeeds: one system per P and nonempty layer of the rest,
+    at most 3**k - 2**k in all.  A pattern is unavoidable iff some
+    ranking matches, so a miss decides.
     """
     pattern = tuple(pattern)
     variables = tuple(dict.fromkeys(pattern))
@@ -175,37 +184,44 @@ def is_unavoidable_by_ranking(pattern) -> RankingResult:
             f"{k} variables, ranking search is capped at {MAX_VARIABLES}"
         )
 
-    assign: dict = {}
-    used: set[int] = set()
+    bit = {v: 1 << i for i, v in enumerate(variables)}
+    masks = [bit[s] for s in pattern]
+    everything = (1 << k) - 1
+    dead: set[int] = set()
+    layers: list[int] = []  # top layer first
+    nodes = 0
 
-    def rec(i: int):
-        if i == k:
-            rp = RankedPattern(pattern, dict(assign))
-            if validate_ranking(rp):
-                return None
-            match = compressed_embedding(rp, validate=False)
-            if match is None:
-                return None
-            return dict(assign), match
-        remaining = k - i
-        cur_max = max(used, default=0)
-        for rank in range(1, k + 1):
-            added = rank not in used
-            # every rank below the running max must still be coverable
-            if max(cur_max, rank) - (len(used) + added) > remaining - 1:
-                continue
-            assign[variables[i]] = rank
-            if added:
-                used.add(rank)
-            hit = rec(i + 1)
-            if added:
-                used.discard(rank)
-            del assign[variables[i]]
-            if hit:
-                return hit
-        return None
+    def place(placed: int) -> bool:
+        nonlocal nodes
+        if placed == everything:
+            return True
+        if placed in dead:
+            return False
+        rest = everything ^ placed
+        layer = rest
+        while layer:
+            nodes += 1
+            shown = placed | layer
+            projection = tuple(s for s, m in zip(pattern, masks) if m & shown)
+            forced = tuple(v for v in variables if bit[v] & layer)
+            if count_free_components(projection, forced) is not None:
+                layers.append(layer)
+                if place(shown):
+                    return True
+                layers.pop()
+            layer = (layer - 1) & rest  # next smaller subset of rest
+        dead.add(placed)
+        return False
 
-    hit = rec(0)
-    if hit:
-        return RankingResult(Verdict.UNAVOIDABLE, hit[0], hit[1])
-    return RankingResult(Verdict.AVOIDABLE, None, None)
+    if not place(0):
+        return RankingResult(Verdict.AVOIDABLE, None, None, nodes)
+    top = len(layers)
+    ranking = {
+        v: top - i for v in variables for i, layer in enumerate(layers) if layer & bit[v]
+    }
+    match = compressed_embedding(RankedPattern(pattern, ranking))
+    if match is None:
+        raise RuntimeError(
+            f"layer search accepted ranking {ranking} but the engine rejects it"
+        )
+    return RankingResult(Verdict.UNAVOIDABLE, ranking, match, nodes)

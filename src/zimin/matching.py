@@ -83,7 +83,10 @@ def validate_ranking(pattern: RankedPattern):
 
     (equal-ranks-unseparated) two equal ranks with nothing larger in
     between, (max-rank-repeated) the top rank occurring more than once.
-    A ranking admits a match iff there are no violations.
+    Both conditions are necessary, not sufficient: a ranking with a
+    violation admits no match, but ``xyzxwy`` with x=3, y=2, z=4, w=1
+    has none and admits no match either.  Only the level systems of the
+    engine decide.
     """
     seq = pattern.rank_sequence
     violations = []
@@ -135,8 +138,9 @@ def _peel_events(pattern: RankedPattern):
 def _run(pattern: RankedPattern, shortest: bool = False, collect: bool = False):
     """Descend levels max_rank..1, maintaining compressed values.
 
-    Returns (valuation, l, steps) or None when a level system clashes,
-    which happens exactly for rankings that violate a condition.
+    Returns (valuation, l, steps) or None when a level system clashes.
+    Every ranking that violates a condition clashes, and so do some that
+    violate none (see validate_ranking).
     """
     symbols = pattern.symbols
     ranks = pattern.ranks

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import random
+from itertools import permutations, product
 
 import pytest
 
 from zimin import (
+    MAX_VARIABLES,
+    MatchResult,
+    RankingResult,
     SizeLimitError,
     Verdict,
+    check_concatenation,
     check_free_set,
     compressed_embedding,
     decompress,
@@ -15,6 +20,7 @@ from zimin import (
     is_unavoidable_by_ranking,
     is_unavoidable_by_reduction,
     is_zimin_factor,
+    oracle_enumerate,
     RankedPattern,
     validate_ranking,
 )
@@ -167,3 +173,157 @@ def test_doubled_pattern_avoidable():
     # any pattern containing xx for some variable is avoidable
     for pattern in [("a", "a"), ("a", "b", "b", "a"), ("c", "a", "a", "c")]:
         assert is_unavoidable_by_reduction(pattern).verdict is Verdict.AVOIDABLE
+
+
+def test_node_counts():
+    assert is_unavoidable_by_reduction(("a", "b", "a")).nodes == 3
+    assert is_unavoidable_by_ranking(("a", "b", "a")).nodes >= 2
+    # at most one layer system per (placed set, nonempty layer) pair
+    for pattern in [tuple("abcdefghabcdefgh"), zimin_pattern(8)]:
+        result = is_unavoidable_by_ranking(pattern)
+        assert result.nodes <= 3**8 - 2**8, (pattern, result.nodes)
+
+
+def reference_ranking_search(pattern) -> RankingResult:
+    """The exhaustive decider the layer search replaced: every ranking onto
+    an interval {1..m}, in lexicographic order, through the full engine."""
+    pattern = tuple(pattern)
+    variables = tuple(dict.fromkeys(pattern))
+    if not pattern:
+        return RankingResult(Verdict.UNAVOIDABLE, {}, MatchResult({}, 0))
+    k = len(variables)
+    if k > MAX_VARIABLES:
+        raise SizeLimitError(
+            f"{k} variables, ranking search is capped at {MAX_VARIABLES}"
+        )
+
+    assign: dict = {}
+    used: set[int] = set()
+
+    def rec(i: int):
+        if i == k:
+            rp = RankedPattern(pattern, dict(assign))
+            if validate_ranking(rp):
+                return None
+            match = compressed_embedding(rp, validate=False)
+            if match is None:
+                return None
+            return dict(assign), match
+        remaining = k - i
+        cur_max = max(used, default=0)
+        for rank in range(1, k + 1):
+            added = rank not in used
+            # every rank below the running max must still be coverable
+            if max(cur_max, rank) - (len(used) + added) > remaining - 1:
+                continue
+            assign[variables[i]] = rank
+            if added:
+                used.add(rank)
+            hit = rec(i + 1)
+            if added:
+                used.discard(rank)
+            del assign[variables[i]]
+            if hit:
+                return hit
+        return None
+
+    hit = rec(0)
+    if hit:
+        return RankingResult(Verdict.UNAVOIDABLE, hit[0], hit[1])
+    return RankingResult(Verdict.AVOIDABLE, None, None)
+
+
+def canonical_patterns(max_vars, max_len):
+    """Every pattern up to renaming (restricted growth strings)."""
+    out = []
+
+    def grow(pattern, k):
+        if pattern:
+            out.append(tuple(pattern))
+        if len(pattern) < max_len:
+            for v in range(min(k + 1, max_vars)):
+                grow(pattern + ["abcdefgh"[v]], max(k, v + 1))
+
+    grow([], 0)
+    return out
+
+
+def assert_witness(pattern, result):
+    """An UNAVOIDABLE witness ranks onto {1..m}, m <= k, and its codes
+    concatenate, in pattern order, to a Zimin factor."""
+    k = len(set(pattern))
+    ranks = set(result.ranking.values())
+    assert ranks == set(range(1, len(ranks) + 1)) and len(ranks) <= k, result.ranking
+    assert list(result.ranking) == list(dict.fromkeys(pattern))
+    codes = [result.match.valuation[s] for s in pattern]
+    assert check_concatenation(codes), (pattern, result.ranking)
+
+
+def test_layer_search_matches_reference_exhaustively():
+    patterns = canonical_patterns(max_vars=4, max_len=8)
+    assert len(patterns) == 3771
+    for pattern in patterns:
+        result = is_unavoidable_by_ranking(pattern)
+        assert result.verdict is reference_ranking_search(pattern).verdict, pattern
+        if result.verdict is Verdict.UNAVOIDABLE:
+            assert_witness(pattern, result)
+
+
+def _five_variable_patterns(rng, rounds):
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    out = []
+    for _ in range(rounds):
+        v = rng.sample(letters, 5)
+        out.append(v + rng.sample(v, 5))  # a square u u'
+        shuffle = [x for x in rng.sample(letters, 5) for _ in range(rng.choice((2, 3)))]
+        rng.shuffle(shuffle)
+        out.append(shuffle)
+        z = generate_zimin(rng.choice((5, 6, 7)))
+        while True:  # a factor of Z_5..Z_7 on five letters, renamed
+            i = rng.randrange(len(z))
+            j = rng.randrange(i + 1, len(z) + 1)
+            if len(set(z[i:j])) == 5:
+                break
+        rename = dict(zip(sorted(set(z[i:j])), rng.sample(letters, 5)))
+        out.append([rename[x] for x in z[i:j]])
+    return [tuple(p) for p in out]
+
+
+def test_layer_search_matches_reference_on_five_variables():
+    patterns = _five_variable_patterns(random.Random(4), 40)
+    assert len(patterns) == 120
+    for pattern in patterns:
+        result = is_unavoidable_by_ranking(pattern)
+        assert result.verdict is reference_ranking_search(pattern).verdict, pattern
+        if result.verdict is Verdict.UNAVOIDABLE:
+            assert_witness(pattern, result)
+
+
+def test_shared_rank_layer_needed():
+    # every matching ranking of this pattern gives two variables the same
+    # rank, so a search placing one variable per rank would miss it
+    pattern = tuple("abacbdebec")
+    result = is_unavoidable_by_ranking(pattern)
+    assert result.verdict is Verdict.UNAVOIDABLE
+    assert_witness(pattern, result)
+    assert len(set(result.ranking.values())) < len(result.ranking)
+    variables = tuple(dict.fromkeys(pattern))
+    assert not any(
+        compressed_embedding(RankedPattern(pattern, dict(zip(variables, ranks))))
+        for ranks in permutations(range(1, len(variables) + 1))
+    )
+    assert is_unavoidable_by_reduction(pattern).verdict is Verdict.UNAVOIDABLE
+
+
+def test_layer_search_matches_oracle():
+    # independent of both deciders: some ranking in {1..k}^vars has a
+    # match found by brute force in Z_k
+    for pattern in canonical_patterns(max_vars=3, max_len=6):
+        variables = tuple(dict.fromkeys(pattern))
+        k = len(variables)
+        matched = any(
+            oracle_enumerate(RankedPattern(pattern, dict(zip(variables, ranks))))
+            for ranks in product(range(1, k + 1), repeat=k)
+        )
+        verdict = is_unavoidable_by_ranking(pattern).verdict
+        assert (verdict is Verdict.UNAVOIDABLE) is matched, pattern

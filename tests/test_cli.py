@@ -166,6 +166,12 @@ def test_enumerate_limit(capsys):
     assert len(out.splitlines()) == 16
 
 
+def test_enumerate_negative_limit(capsys):
+    code, out, err = run(capsys, "enumerate", "x", "--ranks", "x=3", "--limit", "-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "-1" in err
+
+
 def test_avoid_unavoidable(capsys):
     code, out, _ = run(capsys, "avoid", "aba")
     assert code == 0

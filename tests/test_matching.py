@@ -15,6 +15,7 @@ from zimin import (
     instance_length,
     is_zimin_factor,
     min_instance_length,
+    oracle_count,
     shortest_instance,
     uncompressed_embedding,
     validate_ranking,
@@ -182,6 +183,15 @@ def test_invalid_ranking_rejected_by_validation():
     assert compressed_embedding(bad) is None
     # skipping validation still yields no match, via the flag conflicts
     assert compressed_embedding(bad, validate=False) is None
+
+
+def test_conditions_are_not_sufficient():
+    # no condition is violated, yet a level system of the engine clashes,
+    # and the brute-force oracle finds no match either
+    rp = RankedPattern(tuple("xyzxwy"), {"x": 3, "y": 2, "z": 4, "w": 1})
+    assert validate_ranking(rp) == ()
+    assert compressed_embedding(rp) is None
+    assert oracle_count(rp) == 0
 
 
 def test_gapped_ranking_matches():
