@@ -8,7 +8,9 @@ demands exactly one new letter at the junction, i.e. last(x) != first(y).
 Those inequations live on a graph whose vertices are (variable, side)
 and whose edges join an end side to a start side, so the graph is
 bipartite and conflicts can only come from forced variables.  Each
-connected component carries a single free bit.
+connected component carries a single free bit.  ``AdjacencyGraph``
+solves one such system; the matching engine, the avoidability layer
+search and the name-level helpers below all use it.
 """
 
 from __future__ import annotations
@@ -60,141 +62,127 @@ def build_constraints(pattern, forced=()) -> ConstraintSystem:
 
 
 class AdjacencyGraph:
-    """Junction graph over (variable, side) vertices.
+    """Junction system of one level over integer vertices.
 
-    Values are stored per component as the bit carried by its end-side
-    vertices; start sides hold the complement.  ``valuate`` is
-    idempotent and reports clashes instead of raising.
+    Variables are 0..size-1; vertex 2v is the end side of v and 2v+1 its
+    start side, and each pair (2x, 2y+1) joins an end to a start.  A
+    union-find with path halving, whose roots are the smallest vertex of
+    their component, counts merges: there are 2*size - merges components.
+    Pins are kept per root as the flag of the component's end sides;
+    start sides hold the complement.  ``left[v]`` counts the distinct
+    left neighbours of v, so the start side of v shares a component with
+    an end side exactly when it is positive.
     """
 
-    def __init__(self, variables, pairs):
-        self._vars = list(dict.fromkeys(variables))
-        self._index = {}
-        for i, var in enumerate(self._vars):
-            self._index[(var, END)] = 2 * i
-            self._index[(var, START)] = 2 * i + 1
-        n = 2 * len(self._vars)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for x, y in pairs:
-            a = self._index[(x, END)]
-            b = self._index[(y, START)]
-            adj[a].append(b)
-            adj[b].append(a)
-        self._comp = [-1] * n
-        self._has_end: list[bool] = []
-        for start in range(n):
-            if self._comp[start] >= 0:
-                continue
-            cid = len(self._has_end)
-            self._has_end.append(False)
-            queue = [start]
-            self._comp[start] = cid
-            while queue:
-                v = queue.pop()
-                if v % 2 == 0:
-                    self._has_end[cid] = True
-                for u in adj[v]:
-                    if self._comp[u] < 0:
-                        self._comp[u] = cid
-                        queue.append(u)
-        # end-side bit per component, None while free
-        self._bit: list = [None] * len(self._has_end)
+    def __init__(self, size, pairs, left):
+        parent = list(range(2 * size))
+        merges = 0
+        for a, b in pairs:
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                merges += 1
+                if a < b:
+                    parent[b] = a
+                else:
+                    parent[a] = b
+        # no parent exceeds its child, so one pass in vertex order leaves
+        # every vertex holding its root
+        for u in range(2 * size):
+            parent[u] = parent[parent[u]]
+        self.root = parent
+        self.left = left
+        self.pins: dict = {}  # root -> flag of the component's end sides
+        self.components = 2 * size - merges
 
     @property
-    def variables(self):
-        return tuple(self._vars)
+    def free(self) -> int:
+        return self.components - len(self.pins)
 
-    def component_of(self, vertex) -> int:
-        return self._comp[self._index[vertex]]
+    def pin(self, u, flag: bool) -> bool:
+        """Pin the flag of vertex u; False when an earlier pin clashes."""
+        bit = flag != (u & 1)
+        return self.pins.setdefault(self.root[u], bit) == bit
 
-    def _implied_bit(self, vertex, value: bool) -> bool:
-        # start sides store the complement of the component bit
-        if self._index[vertex] % 2 == 0:
-            return value
-        return not value
+    def force(self, variables):
+        """Pin both flags of each variable True (its end sides' bit True,
+        its start sides' bit False): the free component count, or None
+        on a clash."""
+        root, pins = self.root, self.pins
+        for v in variables:
+            if not pins.setdefault(root[2 * v], True) or pins.setdefault(root[2 * v + 1], False):
+                return None
+        return self.free
 
-    def valuate(self, vertex, value: bool) -> bool:
-        """Pin a flag; False means it clashes with an earlier decision."""
-        cid = self._comp[self._index[vertex]]
-        bit = self._implied_bit(vertex, value)
-        if self._bit[cid] is None:
-            self._bit[cid] = bit
-            return True
-        return self._bit[cid] == bit
+    def free_roots(self, size) -> list:
+        """Roots of the free components of variables 0..size-1, in order
+        of their smallest vertex."""
+        return sorted(set(self.root[: 2 * size]).difference(self.pins))
 
-    def value_of(self, vertex):
-        cid = self._comp[self._index[vertex]]
-        if self._bit[cid] is None:
-            return None
-        return self._bit[cid] if self._index[vertex] % 2 == 0 else not self._bit[cid]
-
-    def unvalued_components(self) -> tuple:
-        return tuple(cid for cid, bit in enumerate(self._bit) if bit is None)
-
-    def set_anchor(self, cid: int, anchor: bool):
-        """Anchor is the end-side bit when the component has end vertices,
-        otherwise the start-side bit.  False is the canonical choice."""
-        self._bit[cid] = anchor if self._has_end[cid] else not anchor
-
-    def flags(self) -> BoundaryAssignment:
-        return self.flags_with({})
-
-    def flags_with(self, overrides) -> BoundaryAssignment:
-        """Flags under per-component anchor overrides, without mutating
-        the stored bits."""
-        bits = list(self._bit)
-        for cid, anchor in overrides.items():
-            bits[cid] = anchor if self._has_end[cid] else not anchor
-        out: BoundaryAssignment = {}
-        for i, var in enumerate(self._vars):
-            end_bit = bits[self._comp[2 * i]]
-            start_bit = bits[self._comp[2 * i + 1]]
-            if end_bit is None or start_bit is None:
-                raise ValueError("component left unvalued")
-            out[var] = (not start_bit, end_bit)
-        return out
+    def flags_with(self, overrides, size):
+        """First flags and last flags of variables 0..size-1, as two lists
+        of truth values.  A free component takes its anchor from
+        ``overrides`` (root -> anchor), else False; the anchor is the flag
+        of its end sides, or of its one start side when it has no end."""
+        left = self.left
+        bits = self.pins
+        if overrides:
+            bits = dict(bits)
+            for root, anchor in overrides.items():
+                bits[root] = anchor == (root % 2 == 0 or left[root >> 1] > 0)
+        if not bits:
+            return left[:size], [False] * size
+        start_flags = {root: not bit for root, bit in bits.items()}
+        # a free start side is True exactly when it has a left neighbour
+        firsts = list(map(start_flags.get, self.root[1 : 2 * size : 2], left))
+        return firsts, list(map(bits.get, self.root[: 2 * size : 2]))
 
 
-def _graph_for(pattern, forced):
-    variables = dict.fromkeys(pattern)
+def _solve(pattern, forced=(), shortest=False):
+    """Variables of a name-level pattern and its junction graph with the
+    forced variables pinned (and with shortest, the pattern's first and
+    last flag pinned off where free); None on a clash."""
+    if not pattern:
+        return (), AdjacencyGraph(0, (), [])
+    names = tuple(dict.fromkeys(pattern))
+    ids = dict(zip(names, range(len(names))))
     for var in forced:
-        if var not in variables:
+        if var not in ids:
             raise ValueError(f"forced variable {var!r} does not occur in the pattern")
-    graph = AdjacencyGraph(variables, dict.fromkeys(zip(pattern, pattern[1:])))
-    for var in forced:
-        if not graph.valuate((var, END), True) or not graph.valuate((var, START), True):
-            return None
-    return graph
+    vid = list(map(ids.__getitem__, pattern))
+    pairs = {(2 * x, 2 * y + 1) for x, y in zip(vid, vid[1:])}
+    left = [0] * len(names)
+    for _, b in pairs:
+        left[b >> 1] += 1
+    graph = AdjacencyGraph(len(names), pairs, left)
+    if graph.force(map(ids.__getitem__, forced)) is None:
+        return None
+    if shortest:
+        graph.pin(2 * ids[pattern[0]] + 1, False)
+        graph.pin(2 * ids[pattern[-1]], False)
+    return names, graph
+
+
+def _flags(solved):
+    if solved is None:
+        return None
+    names, graph = solved
+    firsts, lasts = graph.flags_with({}, len(names))
+    return {var: (bool(first), bool(last)) for var, first, last in zip(names, firsts, lasts)}
 
 
 def first_last(pattern, forced=()):
     """Canonical solution of the junction system, or None when the forced
     variables clash.  Free components take anchor False."""
-    if not pattern:
-        return {}
-    graph = _graph_for(pattern, forced)
-    if graph is None:
-        return None
-    for cid in graph.unvalued_components():
-        graph.set_anchor(cid, False)
-    return graph.flags()
+    return _flags(_solve(pattern, forced))
 
 
 def shortest_first_last(pattern, forced=()):
     """Like first_last, but spends the slack at the two pattern ends on
     suppressing boundary letters, which minimizes the matched length."""
-    if not pattern:
-        return {}
-    graph = _graph_for(pattern, forced)
-    if graph is None:
-        return None
-    if graph.value_of((pattern[0], START)) is None:
-        graph.valuate((pattern[0], START), False)
-    if graph.value_of((pattern[-1], END)) is None:
-        graph.valuate((pattern[-1], END), False)
-    for cid in graph.unvalued_components():
-        graph.set_anchor(cid, False)
-    return graph.flags()
+    return _flags(_solve(pattern, forced, True))
 
 
 def count_free_components(pattern, forced=(), boundary_minimize: bool = False):
@@ -203,17 +191,8 @@ def count_free_components(pattern, forced=(), boundary_minimize: bool = False):
     With boundary_minimize the two pattern-end flags are pinned first,
     matching what shortest_first_last does.
     """
-    if not pattern:
-        return 0
-    graph = _graph_for(pattern, forced)
-    if graph is None:
-        return None
-    if boundary_minimize:
-        if graph.value_of((pattern[0], START)) is None:
-            graph.valuate((pattern[0], START), False)
-        if graph.value_of((pattern[-1], END)) is None:
-            graph.valuate((pattern[-1], END), False)
-    return len(graph.unvalued_components())
+    solved = _solve(pattern, forced, boundary_minimize)
+    return None if solved is None else solved[1].free
 
 
 def solve_by_implication_graph(system: ConstraintSystem):

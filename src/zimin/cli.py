@@ -26,6 +26,7 @@ from .matching import (
     enumerate_instances,
     instance_length,
     shortest_instance,
+    validate_ranking,
 )
 from .verification import run_bench, run_small_suite
 from .words import first_violation, format_word, generate_zimin, parse_word
@@ -123,11 +124,28 @@ def _ranked(args) -> RankedPattern:
     return RankedPattern(parse_pattern(args.pattern), parse_ranks(args.ranks))
 
 
-def cmd_match(args) -> int:
+def _match_or_explain(args, engine):
+    """The ranked pattern and its match by ``engine``; on NO-MATCH the
+    match is None and the violated ranking conditions are reported (none
+    when both hold but a level system clashes), on stderr in text mode."""
     rp = _ranked(args)
-    res = compressed_embedding(rp)
+    violations = validate_ranking(rp)
+    res = None if violations else engine(rp, validate=False)
     if res is None:
-        _emit(args, {"valuation": None}, "NO-MATCH")
+        listed = [{"kind": v.kind, "positions": list(v.positions)} for v in violations]
+        _emit(args, {"valuation": None, "violations": listed}, "NO-MATCH")
+        if not args.json:
+            for v in listed:
+                where = ", ".join(map(str, v["positions"]))
+                print(f"reason: {v['kind']} at positions {where}", file=sys.stderr)
+            if not listed:
+                print("reason: both ranking conditions hold, but a level clashes", file=sys.stderr)
+    return rp, res
+
+
+def cmd_match(args) -> int:
+    rp, res = _match_or_explain(args, compressed_embedding)
+    if res is None:
         return 1
     _emit(
         args,
@@ -138,10 +156,8 @@ def cmd_match(args) -> int:
 
 
 def cmd_shortest(args) -> int:
-    rp = _ranked(args)
-    res = shortest_instance(rp)
+    rp, res = _match_or_explain(args, shortest_instance)
     if res is None:
-        _emit(args, {"valuation": None}, "NO-MATCH")
         return 1
     length = instance_length(rp, res.valuation)
     _emit(
@@ -305,8 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_avoid)
 
     p = sub.add_parser("verify", parents=[common], help="run self checks")
-    p.add_argument("--suite", action="store_true", help="run the small suite (default)")
-    p.add_argument("--bench", action="store_true", help="run the scaling benchmark")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--suite", action="store_true", help="run the small suite (default)")
+    mode.add_argument("--bench", action="store_true", help="run the scaling benchmark")
     p.add_argument("--sizes", default=None, help="bench sizes, comma separated")
     p.set_defaults(func=cmd_verify)
 

@@ -15,11 +15,11 @@ component count to l, and the instance count is 2**l.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 
-from .boundary import END, START, AdjacencyGraph, first_last
+from .boundary import AdjacencyGraph, first_last
 from .compressed import DEFAULT_MAX_LETTERS, decompressed_length
 from .errors import EnumerationLimitError, SizeLimitError
 from .words import apply_mu
@@ -135,82 +135,85 @@ def _peel_events(pattern: RankedPattern):
     return events
 
 
-def _run(pattern: RankedPattern, shortest: bool = False, collect: bool = False):
+def _run(pattern: RankedPattern, shortest: bool = False, collect=None):
     """Descend levels max_rank..1, maintaining compressed values.
 
     Returns (valuation, l, steps) or None when a level system clashes.
     Every ranking that violates a condition clashes, and so do some that
-    violate none (see validate_ranking).
+    violate none (see validate_ranking).  Variables are interned in the
+    order they enter, by rank and then last occurrence, both descending,
+    so the active ones are always a prefix.  With ``collect`` (an
+    enumeration limit), steps keeps each level's (level, variables
+    above it, active variables, graph, free roots) while 2**l stays
+    within the limit.
     """
     symbols = pattern.symbols
     ranks = pattern.ranks
     n = len(symbols)
     events = _peel_events(pattern)
-    rank_vars: dict[int, list] = {}
-    for var in pattern.variables:
-        rank_vars.setdefault(ranks[var], []).append(var)
+    last_pos = {var: pos for pos, var in enumerate(symbols)}
+    names = sorted(last_pos, key=lambda var: (-ranks[var], -last_pos[var]))
+    ids = {var: i for i, var in enumerate(names)}
+    vid = [ids[s] for s in symbols]
+    end = [2 * v for v in vid]
+    start = [e + 1 for e in end]
 
-    prv = [0] * n
-    nxt = [0] * n
-    head = tail = -1
-    pair_count: dict[tuple, int] = {}
-    active: dict = {}  # variable -> occurrence count, in activation order
-    val: dict = {}
-    total_free = 0
-    steps = [] if collect else None
+    head = -1
+    pair_count: dict[tuple, int] = {}  # (end vertex, start vertex) -> count
+    left = [0] * len(names)  # distinct left neighbours per variable
+    entering = Counter(ranks.values())  # level -> variables of that rank
+    vals: list = []
+    active = total_free = 0
+    steps = [] if collect is not None else None
 
     for level in range(pattern.max_rank, 0, -1):
-        for pos, left, right in reversed(events[level]):
-            if left >= 0 and right < n:
-                key = (symbols[left], symbols[right])
+        for pos, lft, rgt in reversed(events[level]):
+            if lft >= 0 and rgt < n:
+                key = (end[lft], start[rgt])
                 cnt = pair_count[key] - 1
                 if cnt:
                     pair_count[key] = cnt
                 else:
                     del pair_count[key]
-            prv[pos], nxt[pos] = left, right
-            if left >= 0:
-                nxt[left] = pos
-                key = (symbols[left], symbols[pos])
-                pair_count[key] = pair_count.get(key, 0) + 1
+                    left[vid[rgt]] -= 1
+            if lft >= 0:
+                key = (end[lft], start[pos])
+                cnt = pair_count.get(key, 0)
+                if not cnt:
+                    left[vid[pos]] += 1
+                pair_count[key] = cnt + 1
             else:
                 head = pos
-            if right < n:
-                prv[right] = pos
-                key = (symbols[pos], symbols[right])
-                pair_count[key] = pair_count.get(key, 0) + 1
-            else:
-                tail = pos
-            var = symbols[pos]
-            active[var] = active.get(var, 0) + 1
-            if var not in val:
-                val[var] = deque((level,))
+            if rgt < n:
+                key = (end[pos], start[rgt])
+                cnt = pair_count.get(key, 0)
+                if not cnt:
+                    left[vid[rgt]] += 1
+                pair_count[key] = cnt + 1
 
-        graph = AdjacencyGraph(active, pair_count)
-        for var in rank_vars.get(level, ()):
-            if not graph.valuate((var, END), True) or not graph.valuate(
-                (var, START), True
-            ):
-                return None
-        free_cids = graph.unvalued_components()
-        total_free += len(free_cids)
+        above = active
+        active += entering.get(level, 0)
+        vals.extend(deque((level,)) for _ in range(above, active))
+        # a kept graph needs the counts of its own level
+        graph = AdjacencyGraph(active, pair_count, left if steps is None else left[:active])
+        free = graph.force(range(above, active))
+        if free is None:
+            return None
+        total_free += free
+        if steps is not None:
+            steps.append((level, above, active, graph, graph.free_roots(active)))
+            if 2**total_free > collect:
+                steps = None  # over the limit: stop keeping graphs
         if shortest:
-            if graph.value_of((symbols[head], START)) is None:
-                graph.valuate((symbols[head], START), False)
-            if graph.value_of((symbols[tail], END)) is None:
-                graph.valuate((symbols[tail], END), False)
-        for cid in graph.unvalued_components():
-            graph.set_anchor(cid, False)
-        for var, (first, last) in graph.flags().items():
-            if ranks[var] > level:
-                if first:
-                    val[var].appendleft(level)
-                if last:
-                    val[var].append(level)
-        if collect:
-            steps.append((level, graph, free_cids))
+            # the tail's last flag is already False wherever it is free
+            graph.pin(start[head], False)
+        firsts, lasts = graph.flags_with({}, above)
+        for code in compress(vals, firsts):
+            code.appendleft(level)
+        for code in compress(vals, lasts):
+            code.append(level)
 
-    return val, total_free, steps
+    return {var: tuple(code) for var, code in zip(names, vals)}, total_free, steps
 
 
 def compressed_embedding(pattern: RankedPattern, *, validate: bool = True):
@@ -223,10 +226,7 @@ def compressed_embedding(pattern: RankedPattern, *, validate: bool = True):
     if validate and validate_ranking(pattern):
         return None
     out = _run(pattern)
-    if out is None:
-        return None
-    val, total_free, _ = out
-    return MatchResult({v: tuple(c) for v, c in val.items()}, total_free)
+    return None if out is None else MatchResult(out[0], out[1])
 
 
 def shortest_instance(pattern: RankedPattern, *, validate: bool = True):
@@ -239,10 +239,7 @@ def shortest_instance(pattern: RankedPattern, *, validate: bool = True):
     if validate and validate_ranking(pattern):
         return None
     out = _run(pattern, shortest=True)
-    if out is None:
-        return None
-    val, total_free, _ = out
-    return MatchResult({v: tuple(c) for v, c in val.items()}, total_free)
+    return None if out is None else MatchResult(out[0], out[1])
 
 
 def count_instances(pattern: RankedPattern) -> int:
@@ -255,43 +252,38 @@ def enumerate_instances(pattern: RankedPattern, limit: int = DEFAULT_ENUM_LIMIT)
     """All matches, canonical one first.
 
     The per-level systems do not depend on the bits chosen, so matches
-    are exactly the combinations of the free component bits.  Raises
-    EnumerationLimitError (carrying the count) instead of materializing
-    more than ``limit`` results.
+    are exactly the 2**l combinations of the free component bits, all
+    distinct.  Raises EnumerationLimitError (carrying the count) instead
+    of materializing more than ``limit`` results.
     """
     if validate_ranking(pattern):
         return []
-    probe = _run(pattern)
-    if probe is None:
+    run = _run(pattern, collect=limit)
+    if run is None:
         return []
-    count = 2 ** probe[1]
-    if count > limit:
-        raise EnumerationLimitError(count, limit)
-    _, _, steps = _run(pattern, collect=True)
+    canonical, total_free, steps = run
+    if 2**total_free > limit:
+        raise EnumerationLimitError(2**total_free, limit)
 
-    ranks = pattern.ranks
-    slots = [(i, cid) for i, (_, _, cids) in enumerate(steps) for cid in cids]
+    # each level's flags under every choice of anchors for its free
+    # components, in product order; a match picks one choice per level
+    choices = [
+        [
+            graph.flags_with(dict(zip(roots, bits)), above)
+            for bits in product((False, True), repeat=len(roots))
+        ]
+        for _, above, _, graph, roots in steps
+    ]
     out = []
-    seen = set()
-    for bits in product((False, True), repeat=len(slots)):
-        overrides: dict[int, dict] = {}
-        for (i, cid), bit in zip(slots, bits):
-            overrides.setdefault(i, {})[cid] = bit
-        val: dict = {}
-        for i, (level, graph, _) in enumerate(steps):
-            for var, (first, last) in graph.flags_with(overrides.get(i, {})).items():
-                if ranks[var] == level:
-                    val.setdefault(var, deque((level,)))
-                elif ranks[var] > level:
-                    if first:
-                        val[var].appendleft(level)
-                    if last:
-                        val[var].append(level)
-        frozen = {v: tuple(c) for v, c in val.items()}
-        key = tuple(frozen[v] for v in pattern.variables)
-        if key not in seen:
-            seen.add(key)
-            out.append(frozen)
+    for picked in product(*choices):
+        vals: list = []
+        for (level, above, active, _, _), (firsts, lasts) in zip(steps, picked):
+            for code in compress(vals, firsts):
+                code.appendleft(level)
+            for code in compress(vals, lasts):
+                code.append(level)
+            vals.extend(deque((level,)) for _ in range(above, active))
+        out.append(dict(zip(canonical, map(tuple, vals))))
     return out
 
 

@@ -1,0 +1,299 @@
+"""The level engine as it was before the union-find solver, kept verbatim
+as the reference for differential tests: the BFS junction graph over
+(variable, side) vertices, ``_run`` rebuilding it at every level, and
+the ``flags_with``-based enumeration.  The new engine must give the
+same valuations, l, shortest matches and enumeration order.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from itertools import product
+
+from zimin.errors import EnumerationLimitError
+from zimin.matching import DEFAULT_ENUM_LIMIT, RankedPattern, _peel_events, validate_ranking
+
+END = "end"
+START = "start"
+
+# variable -> (first, last)
+BoundaryAssignment = dict
+
+
+class AdjacencyGraph:
+    """Junction graph over (variable, side) vertices.
+
+    Values are stored per component as the bit carried by its end-side
+    vertices; start sides hold the complement.  ``valuate`` is
+    idempotent and reports clashes instead of raising.
+    """
+
+    def __init__(self, variables, pairs):
+        self._vars = list(dict.fromkeys(variables))
+        self._index = {}
+        for i, var in enumerate(self._vars):
+            self._index[(var, END)] = 2 * i
+            self._index[(var, START)] = 2 * i + 1
+        n = 2 * len(self._vars)
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for x, y in pairs:
+            a = self._index[(x, END)]
+            b = self._index[(y, START)]
+            adj[a].append(b)
+            adj[b].append(a)
+        self._comp = [-1] * n
+        self._has_end: list[bool] = []
+        for start in range(n):
+            if self._comp[start] >= 0:
+                continue
+            cid = len(self._has_end)
+            self._has_end.append(False)
+            queue = [start]
+            self._comp[start] = cid
+            while queue:
+                v = queue.pop()
+                if v % 2 == 0:
+                    self._has_end[cid] = True
+                for u in adj[v]:
+                    if self._comp[u] < 0:
+                        self._comp[u] = cid
+                        queue.append(u)
+        # end-side bit per component, None while free
+        self._bit: list = [None] * len(self._has_end)
+
+    @property
+    def variables(self):
+        return tuple(self._vars)
+
+    def component_of(self, vertex) -> int:
+        return self._comp[self._index[vertex]]
+
+    def _implied_bit(self, vertex, value: bool) -> bool:
+        # start sides store the complement of the component bit
+        if self._index[vertex] % 2 == 0:
+            return value
+        return not value
+
+    def valuate(self, vertex, value: bool) -> bool:
+        """Pin a flag; False means it clashes with an earlier decision."""
+        cid = self._comp[self._index[vertex]]
+        bit = self._implied_bit(vertex, value)
+        if self._bit[cid] is None:
+            self._bit[cid] = bit
+            return True
+        return self._bit[cid] == bit
+
+    def value_of(self, vertex):
+        cid = self._comp[self._index[vertex]]
+        if self._bit[cid] is None:
+            return None
+        return self._bit[cid] if self._index[vertex] % 2 == 0 else not self._bit[cid]
+
+    def unvalued_components(self) -> tuple:
+        return tuple(cid for cid, bit in enumerate(self._bit) if bit is None)
+
+    def set_anchor(self, cid: int, anchor: bool):
+        """Anchor is the end-side bit when the component has end vertices,
+        otherwise the start-side bit.  False is the canonical choice."""
+        self._bit[cid] = anchor if self._has_end[cid] else not anchor
+
+    def flags(self) -> BoundaryAssignment:
+        return self.flags_with({})
+
+    def flags_with(self, overrides) -> BoundaryAssignment:
+        """Flags under per-component anchor overrides, without mutating
+        the stored bits."""
+        bits = list(self._bit)
+        for cid, anchor in overrides.items():
+            bits[cid] = anchor if self._has_end[cid] else not anchor
+        out: BoundaryAssignment = {}
+        for i, var in enumerate(self._vars):
+            end_bit = bits[self._comp[2 * i]]
+            start_bit = bits[self._comp[2 * i + 1]]
+            if end_bit is None or start_bit is None:
+                raise ValueError("component left unvalued")
+            out[var] = (not start_bit, end_bit)
+        return out
+
+
+def _graph_for(pattern, forced):
+    variables = dict.fromkeys(pattern)
+    for var in forced:
+        if var not in variables:
+            raise ValueError(f"forced variable {var!r} does not occur in the pattern")
+    graph = AdjacencyGraph(variables, dict.fromkeys(zip(pattern, pattern[1:])))
+    for var in forced:
+        if not graph.valuate((var, END), True) or not graph.valuate((var, START), True):
+            return None
+    return graph
+
+
+def first_last(pattern, forced=()):
+    """Canonical solution of the junction system, or None when the forced
+    variables clash.  Free components take anchor False."""
+    if not pattern:
+        return {}
+    graph = _graph_for(pattern, forced)
+    if graph is None:
+        return None
+    for cid in graph.unvalued_components():
+        graph.set_anchor(cid, False)
+    return graph.flags()
+
+
+def shortest_first_last(pattern, forced=()):
+    """Like first_last, but spends the slack at the two pattern ends on
+    suppressing boundary letters, which minimizes the matched length."""
+    if not pattern:
+        return {}
+    graph = _graph_for(pattern, forced)
+    if graph is None:
+        return None
+    if graph.value_of((pattern[0], START)) is None:
+        graph.valuate((pattern[0], START), False)
+    if graph.value_of((pattern[-1], END)) is None:
+        graph.valuate((pattern[-1], END), False)
+    for cid in graph.unvalued_components():
+        graph.set_anchor(cid, False)
+    return graph.flags()
+
+
+def count_free_components(pattern, forced=(), boundary_minimize: bool = False):
+    """Number of free bits left after forcing; None on a clash.
+
+    With boundary_minimize the two pattern-end flags are pinned first,
+    matching what shortest_first_last does.
+    """
+    if not pattern:
+        return 0
+    graph = _graph_for(pattern, forced)
+    if graph is None:
+        return None
+    if boundary_minimize:
+        if graph.value_of((pattern[0], START)) is None:
+            graph.valuate((pattern[0], START), False)
+        if graph.value_of((pattern[-1], END)) is None:
+            graph.valuate((pattern[-1], END), False)
+    return len(graph.unvalued_components())
+
+
+def _run(pattern: RankedPattern, shortest: bool = False, collect: bool = False):
+    """Descend levels max_rank..1, maintaining compressed values.
+
+    Returns (valuation, l, steps) or None when a level system clashes.
+    Every ranking that violates a condition clashes, and so do some that
+    violate none (see validate_ranking).
+    """
+    symbols = pattern.symbols
+    ranks = pattern.ranks
+    n = len(symbols)
+    events = _peel_events(pattern)
+    rank_vars: dict[int, list] = {}
+    for var in pattern.variables:
+        rank_vars.setdefault(ranks[var], []).append(var)
+
+    prv = [0] * n
+    nxt = [0] * n
+    head = tail = -1
+    pair_count: dict[tuple, int] = {}
+    active: dict = {}  # variable -> occurrence count, in activation order
+    val: dict = {}
+    total_free = 0
+    steps = [] if collect else None
+
+    for level in range(pattern.max_rank, 0, -1):
+        for pos, left, right in reversed(events[level]):
+            if left >= 0 and right < n:
+                key = (symbols[left], symbols[right])
+                cnt = pair_count[key] - 1
+                if cnt:
+                    pair_count[key] = cnt
+                else:
+                    del pair_count[key]
+            prv[pos], nxt[pos] = left, right
+            if left >= 0:
+                nxt[left] = pos
+                key = (symbols[left], symbols[pos])
+                pair_count[key] = pair_count.get(key, 0) + 1
+            else:
+                head = pos
+            if right < n:
+                prv[right] = pos
+                key = (symbols[pos], symbols[right])
+                pair_count[key] = pair_count.get(key, 0) + 1
+            else:
+                tail = pos
+            var = symbols[pos]
+            active[var] = active.get(var, 0) + 1
+            if var not in val:
+                val[var] = deque((level,))
+
+        graph = AdjacencyGraph(active, pair_count)
+        for var in rank_vars.get(level, ()):
+            if not graph.valuate((var, END), True) or not graph.valuate(
+                (var, START), True
+            ):
+                return None
+        free_cids = graph.unvalued_components()
+        total_free += len(free_cids)
+        if shortest:
+            if graph.value_of((symbols[head], START)) is None:
+                graph.valuate((symbols[head], START), False)
+            if graph.value_of((symbols[tail], END)) is None:
+                graph.valuate((symbols[tail], END), False)
+        for cid in graph.unvalued_components():
+            graph.set_anchor(cid, False)
+        for var, (first, last) in graph.flags().items():
+            if ranks[var] > level:
+                if first:
+                    val[var].appendleft(level)
+                if last:
+                    val[var].append(level)
+        if collect:
+            steps.append((level, graph, free_cids))
+
+    return val, total_free, steps
+
+
+def enumerate_instances(pattern: RankedPattern, limit: int = DEFAULT_ENUM_LIMIT):
+    """All matches, canonical one first.
+
+    The per-level systems do not depend on the bits chosen, so matches
+    are exactly the combinations of the free component bits.  Raises
+    EnumerationLimitError (carrying the count) instead of materializing
+    more than ``limit`` results.
+    """
+    if validate_ranking(pattern):
+        return []
+    probe = _run(pattern)
+    if probe is None:
+        return []
+    count = 2 ** probe[1]
+    if count > limit:
+        raise EnumerationLimitError(count, limit)
+    _, _, steps = _run(pattern, collect=True)
+
+    ranks = pattern.ranks
+    slots = [(i, cid) for i, (_, _, cids) in enumerate(steps) for cid in cids]
+    out = []
+    seen = set()
+    for bits in product((False, True), repeat=len(slots)):
+        overrides: dict[int, dict] = {}
+        for (i, cid), bit in zip(slots, bits):
+            overrides.setdefault(i, {})[cid] = bit
+        val: dict = {}
+        for i, (level, graph, _) in enumerate(steps):
+            for var, (first, last) in graph.flags_with(overrides.get(i, {})).items():
+                if ranks[var] == level:
+                    val.setdefault(var, deque((level,)))
+                elif ranks[var] > level:
+                    if first:
+                        val[var].appendleft(level)
+                    if last:
+                        val[var].append(level)
+        frozen = {v: tuple(c) for v, c in val.items()}
+        key = tuple(frozen[v] for v in pattern.variables)
+        if key not in seen:
+            seen.add(key)
+            out.append(frozen)
+    return out

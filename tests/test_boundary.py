@@ -6,8 +6,6 @@ from itertools import product
 import pytest
 
 from zimin import (
-    END,
-    START,
     AdjacencyGraph,
     build_constraints,
     count_free_components,
@@ -123,20 +121,21 @@ def test_differential_random_patterns():
 
 
 def test_adjacency_graph_direct():
-    graph = AdjacencyGraph(("a", "b"), {("a", "b"): 1})
-    assert graph.value_of(("a", END)) is None
-    assert graph.valuate(("a", END), True)
-    # edge forces the facing start flag off
-    assert graph.value_of(("b", START)) is False
-    # revaluing consistently is fine, contradicting is not
-    assert graph.valuate(("a", END), True)
-    assert not graph.valuate(("b", START), True)
+    # variables a=0, b=1; the pair a b joins a's end (0) to b's start (3)
+    graph = AdjacencyGraph(2, [(0, 3)], [0, 1])
+    assert graph.root[0] not in graph.pins
+    assert graph.pin(0, True)
+    # the pair forces the facing start flag off
+    firsts, lasts = graph.flags_with({}, 2)
+    assert not firsts[1] and not lasts[1]
+    # pinning consistently is fine, contradicting is not
+    assert graph.pin(0, True)
+    assert not graph.pin(3, True)
 
 
 def test_adjacency_graph_components():
-    graph = AdjacencyGraph(("a", "b"), {("a", "b"): 1})
-    cids = {graph.component_of(("a", END)), graph.component_of(("b", START))}
-    assert len(cids) == 1
-    assert len(graph.unvalued_components()) == 3
-    assert graph.valuate(("a", END), False)
-    assert len(graph.unvalued_components()) == 2
+    graph = AdjacencyGraph(2, [(0, 3)], [0, 1])
+    assert graph.root[0] == graph.root[3]
+    assert graph.free == 3
+    assert graph.pin(0, False)
+    assert graph.free == 2

@@ -120,6 +120,33 @@ def test_match_invalid_ranking(capsys):
     assert (code, out) == (1, "NO-MATCH\n")
 
 
+def test_no_match_names_violations(capsys):
+    # the top rank twice: its two occurrences are also unseparated
+    code, out, err = run(capsys, "match", "aa", "--ranks", "a=1")
+    assert (code, out) == (1, "NO-MATCH\n")
+    assert "reason: max-rank-repeated at positions 0, 1" in err
+    code, payload, _ = run_json(capsys, "shortest", "aa", "--ranks", "a=1")
+    assert code == 1
+    assert {"kind": "max-rank-repeated", "positions": [0, 1]} in payload["violations"]
+    code, payload, _ = run_json(capsys, "match", "cab", "--ranks", "c=3,a=1,b=1")
+    assert (code, payload["valuation"]) == (1, None)
+    assert payload["violations"] == [{"kind": "equal-ranks-unseparated", "positions": [1, 2]}]
+    code, out, err = run(capsys, "shortest", "cab", "--ranks", "c=3,a=1,b=1")
+    assert (code, out) == (1, "NO-MATCH\n")
+    assert err == "reason: equal-ranks-unseparated at positions 1, 2\n"
+
+
+def test_no_match_on_a_level_clash(capsys):
+    # both ranking conditions hold, yet a level system clashes
+    argv = ("match", "xyzxwy", "--ranks", "x=3,y=2,z=4,w=1")
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == 1
+    assert payload == {"format_version": "1", "valuation": None, "violations": []}
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "NO-MATCH\n")
+    assert "clashes" in err
+
+
 def test_match_bad_ranks(capsys):
     code, _, err = run(capsys, "match", "babca", "--ranks", "a=2;b=1")
     assert code == 2
@@ -217,6 +244,13 @@ def test_verify_suite(capsys):
     lines = out.splitlines()
     assert all(line.endswith("PASS") for line in lines[:-1])
     assert lines[-1] == "13/13 passed"
+
+
+def test_verify_suite_and_bench_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "--bench"])
+    assert exc.value.code == 2
+    assert "not allowed" in capsys.readouterr().err
 
 
 def test_json_outputs_are_versioned(capsys):

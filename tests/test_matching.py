@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
+from test_avoidability import canonical_patterns
 
 from zimin import (
     EnumerationLimitError,
@@ -142,6 +144,33 @@ def test_enumerate_example_two():
     for valuation in values:
         codes = [valuation[s] for s in EX2.symbols]
         assert check_concatenation(codes)
+
+
+def _assert_enumeration_distinct(rp):
+    values = enumerate_instances(rp, limit=4096)
+    match = compressed_embedding(rp)
+    assert values[0] == match.valuation
+    assert len(values) == 2**match.free_components
+    assert len({tuple(v[s] for s in rp.variables) for v in values}) == len(values)
+
+
+def test_enumeration_is_distinct_on_ruler():
+    # a distinct variable per position, ranked by the ruler 1,2,1,3,1,2,1,4
+    rp = RankedPattern(tuple("abcdefgh"), dict(zip("abcdefgh", (1, 2, 1, 3, 1, 2, 1, 4))))
+    assert compressed_embedding(rp).free_components == 3
+    _assert_enumeration_distinct(rp)
+
+
+def test_enumeration_is_distinct_on_criterion_two_universe():
+    checked = 0
+    for symbols in canonical_patterns(max_vars=3, max_len=6):
+        variables = tuple(dict.fromkeys(symbols))
+        for ranks in product((1, 2, 3), repeat=len(variables)):
+            rp = RankedPattern(symbols, dict(zip(variables, ranks)))
+            if not validate_ranking(rp):
+                _assert_enumeration_distinct(rp)
+                checked += 1
+    assert checked == 43
 
 
 def test_enumerate_limit_carries_count():
