@@ -1,10 +1,14 @@
 """Deciding whether a pattern is unavoidable.
 
-Two independent deciders.  The reduction method deletes free variable
-sets until the pattern vanishes; the ranking method searches, layer by
-layer from the top rank down, for a ranking admitting a match.  Both
-characterize the same class, so they must always agree, which the test
-suite exploits.
+Two deciders over one solver, the junction system of ``boundary`` with
+a set of variables forced; they differ in search direction and memo.
+The reduction method deletes free variable sets until the pattern
+vanishes, solving each pattern once and remembering dead ones; the
+ranking method searches, layer by layer from the top rank down, for a
+ranking admitting a match, remembering dead sets of placed variables.
+Both characterize the same class, so they must always agree, which the
+test suite exploits; the 2-SAT and union-find references in ``tests/``
+pin the solver.
 
 Variable counts are capped: both searches are exponential in the number
 of distinct variables by nature.
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
-from .boundary import count_free_components
+from .boundary import _solve, count_free_components
 from .errors import SizeLimitError
 from .matching import MatchResult, RankedPattern, compressed_embedding
 
@@ -41,39 +45,20 @@ def check_free_set(pattern, candidate):
 
     Freeness asks for sets A, B with x in A iff y in B for every
     adjacent occurrence pair x y, and the candidate inside B minus A.
-    That is a system of equalities between per-variable booleans, solved
-    here on its connected components.
+    With a_x = not last(x) and b_y = first(y) that is the junction
+    system with the candidate forced, so the candidate is free iff
+    forcing it does not clash; A and B are the sides pinned that way.
     """
-    variables = tuple(dict.fromkeys(pattern))
     cand = frozenset(candidate)
     if not cand:
         raise ValueError("candidate free set must be nonempty")
-    if not cand <= set(variables):
-        raise ValueError("candidate contains variables not in the pattern")
-
-    parent: dict = {}
-    for x in variables:
-        parent[("a", x)] = ("a", x)
-        parent[("b", x)] = ("b", x)
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for x, y in zip(pattern, pattern[1:]):
-        parent[find(("a", x))] = find(("b", y))
-
-    value: dict = {}
-    for f in cand:
-        for vert, want in ((("b", f), True), (("a", f), False)):
-            root = find(vert)
-            if value.get(root, want) != want:
-                return None
-            value[root] = want
-    a_set = frozenset(x for x in variables if value.get(find(("a", x)), False))
-    b_set = frozenset(x for x in variables if value.get(find(("b", x)), False))
+    solved = _solve(pattern, cand)
+    if solved is None:
+        return None
+    names, graph = solved
+    root, pins = graph.root, graph.pins
+    a_set = frozenset(x for i, x in enumerate(names) if pins.get(root[2 * i]) is False)
+    b_set = frozenset(x for i, x in enumerate(names) if pins.get(root[2 * i + 1]) is False)
     return FreeSetWitness(cand, a_set, b_set)
 
 
@@ -107,8 +92,11 @@ def is_unavoidable_by_reduction(pattern, max_free_set_size=None) -> ReductionRes
 
     With max_free_set_size the search is truncated and a miss is only
     INCONCLUSIVE; unrestricted (or covering all variables) it is a
-    decision procedure.
+    decision procedure.  Each node solves its junction system once;
+    candidates are then tested on its component roots alone.
     """
+    if max_free_set_size is not None and max_free_set_size < 1:
+        raise ValueError(f"max_free_set_size must be at least 1, got {max_free_set_size}")
     pattern = tuple(pattern)
     variables = tuple(dict.fromkeys(pattern))
     if len(variables) > MAX_VARIABLES:
@@ -131,15 +119,22 @@ def is_unavoidable_by_reduction(pattern, max_free_set_size=None) -> ReductionRes
         key = _canonical(p)
         if key in dead:
             return False
-        pvars = tuple(dict.fromkeys(p))
+        pvars, graph = _solve(p)
+        # F clashes iff some f, g in F (f = g included) have f's end side
+        # and g's start side in one component
+        starts: dict = {}
+        for g, root in enumerate(graph.root[1::2]):
+            starts[root] = starts.get(root, 0) | 1 << g
+        clash = [starts.get(root, 0) for root in graph.root[0::2]]
         bound = len(pvars) if max_free_set_size is None else min(
             max_free_set_size, len(pvars)
         )
         for size in range(1, bound + 1):
-            for combo in combinations(pvars, size):
-                if check_free_set(p, combo) is None:
+            for combo in combinations(range(len(pvars)), size):
+                mask = sum(1 << f for f in combo)
+                if any(clash[f] & mask for f in combo):
                     continue
-                deleted = frozenset(combo)
+                deleted = frozenset(pvars[f] for f in combo)
                 trace.append((p, deleted))
                 if dfs(delete_variables(p, deleted)):
                     return True

@@ -9,56 +9,11 @@ Those inequations live on a graph whose vertices are (variable, side)
 and whose edges join an end side to a start side, so the graph is
 bipartite and conflicts can only come from forced variables.  Each
 connected component carries a single free bit.  ``AdjacencyGraph``
-solves one such system; the matching engine, the avoidability layer
-search and the name-level helpers below all use it.
+solves one such system; the matching engine, both avoidability
+deciders and the name-level helpers below all use it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-END = "end"
-START = "start"
-
-# variable -> (first, last)
-BoundaryAssignment = dict
-
-
-@dataclass(frozen=True)
-class ConstraintSystem:
-    """Declarative form of a junction system, for checking and for the
-    reference solver."""
-
-    variables: tuple
-    xor_edges: tuple  # ((x, END), (y, START)): the two flags must differ
-    forced: tuple  # vertices pinned to True
-
-    def satisfied_by(self, flags) -> bool:
-        def value(vertex):
-            var, side = vertex
-            first, last = flags[var]
-            return first if side == START else last
-
-        for a, b in self.xor_edges:
-            if value(a) == value(b):
-                return False
-        return all(value(v) for v in self.forced)
-
-
-def build_constraints(pattern, forced=()) -> ConstraintSystem:
-    variables = tuple(dict.fromkeys(pattern))
-    known = set(variables)
-    for var in forced:
-        if var not in known:
-            raise ValueError(f"forced variable {var!r} does not occur in the pattern")
-    edges = dict.fromkeys(
-        ((x, END), (y, START)) for x, y in zip(pattern, pattern[1:])
-    )
-    pins = []
-    for var in dict.fromkeys(forced):
-        pins.append((var, START))
-        pins.append((var, END))
-    return ConstraintSystem(variables, tuple(edges), tuple(pins))
 
 
 class AdjacencyGraph:
@@ -143,9 +98,8 @@ class AdjacencyGraph:
 def _solve(pattern, forced=(), shortest=False):
     """Variables of a name-level pattern and its junction graph with the
     forced variables pinned (and with shortest, the pattern's first and
-    last flag pinned off where free); None on a clash."""
-    if not pattern:
-        return (), AdjacencyGraph(0, (), [])
+    last flag pinned off where free); None on a clash.  Raises
+    ValueError when a forced variable does not occur in the pattern."""
     names = tuple(dict.fromkeys(pattern))
     ids = dict(zip(names, range(len(names))))
     for var in forced:
@@ -159,7 +113,7 @@ def _solve(pattern, forced=(), shortest=False):
     graph = AdjacencyGraph(len(names), pairs, left)
     if graph.force(map(ids.__getitem__, forced)) is None:
         return None
-    if shortest:
+    if shortest and pattern:
         graph.pin(2 * ids[pattern[0]] + 1, False)
         graph.pin(2 * ids[pattern[-1]], False)
     return names, graph
@@ -193,84 +147,3 @@ def count_free_components(pattern, forced=(), boundary_minimize: bool = False):
     """
     solved = _solve(pattern, forced, boundary_minimize)
     return None if solved is None else solved[1].free
-
-
-def solve_by_implication_graph(system: ConstraintSystem):
-    """Reference 2-SAT solver over the same systems.
-
-    Each flag becomes a boolean; every xor edge contributes the clauses
-    (a or b) and (not a or not b).  Kept independent of AdjacencyGraph
-    so the two can be tested against each other.
-    """
-    bools: dict = {}
-    for var in system.variables:
-        for side in (END, START):
-            bools[(var, side)] = len(bools)
-    m = len(bools)
-
-    def lit(vertex, positive: bool) -> int:
-        return 2 * bools[vertex] + (0 if positive else 1)
-
-    imp: list[list[int]] = [[] for _ in range(2 * m)]
-
-    def clause(a: int, b: int):
-        imp[a ^ 1].append(b)
-        imp[b ^ 1].append(a)
-
-    for a, b in system.xor_edges:
-        clause(lit(a, True), lit(b, True))
-        clause(lit(a, False), lit(b, False))
-    for v in system.forced:
-        pos = lit(v, True)
-        clause(pos, pos)
-
-    total = 2 * m
-    comp = [-1] * total
-    low = [0] * total
-    num = [-1] * total
-    counter = 0
-    ncomp = 0
-    stack: list[int] = []
-    on_stack = [False] * total
-    for root in range(total):
-        if num[root] >= 0:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, ptr = work[-1]
-            if ptr == 0:
-                num[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            if ptr < len(imp[v]):
-                work[-1] = (v, ptr + 1)
-                u = imp[v][ptr]
-                if num[u] < 0:
-                    work.append((u, 0))
-                elif on_stack[u]:
-                    low[v] = min(low[v], num[u])
-            else:
-                work.pop()
-                if work:
-                    pv = work[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                if low[v] == num[v]:
-                    while True:
-                        u = stack.pop()
-                        on_stack[u] = False
-                        comp[u] = ncomp
-                        if u == v:
-                            break
-                    ncomp += 1
-
-    for vertex, b in bools.items():
-        if comp[2 * b] == comp[2 * b + 1]:
-            return None
-    flags: BoundaryAssignment = {}
-    for var in system.variables:
-        # Tarjan pops sink components first, so the smaller id wins
-        first = comp[lit((var, START), True)] < comp[lit((var, START), False)]
-        last = comp[lit((var, END), True)] < comp[lit((var, END), False)]
-        flags[var] = (first, last)
-    return flags

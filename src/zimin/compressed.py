@@ -54,28 +54,31 @@ def is_valid_code(code) -> bool:
     return True
 
 
-def compress(word) -> Code:
-    """Compute c(word).  Raises NotAFactorError on non-factors."""
-    violation = first_violation(word)
-    if violation is not None:
-        raise NotAFactorError(f"factor condition fails at letter {violation}")
-    if not word:
-        return ()
+def _records(seq) -> Code:
+    """Left-to-right maxima followed by right-to-left maxima of a
+    sequence whose maximum is unique, keeping that maximum once."""
     prefix: list[int] = []
     best = 0
-    for x in word:
+    for x in seq:
         if x > best:
             prefix.append(x)
             best = x
     suffix: list[int] = []
     best = 0
-    for x in reversed(word):
+    for x in reversed(seq):
         if x > best:
             suffix.append(x)
             best = x
     suffix.reverse()
-    # both scans end at the unique maximum; keep one copy
     return tuple(prefix[:-1] + suffix)
+
+
+def compress(word) -> Code:
+    """Compute c(word).  Raises NotAFactorError on non-factors."""
+    violation = first_violation(word)
+    if violation is not None:
+        raise NotAFactorError(f"factor condition fails at letter {violation}")
+    return _records(word)
 
 
 def decompressed_length(code) -> int:
@@ -145,26 +148,9 @@ def compose(parts) -> Code:
     itself is never expanded.
     """
     codes = [validate_code(p) for p in parts]
-    codes = [c for c in codes if c]
-    if not codes:
-        return ()
     if not check_concatenation(codes):
         raise NotAFactorError("concatenation is not a Zimin factor")
-    flat = [x for code in codes for x in code]
-    prefix: list[int] = []
-    best = 0
-    for x in flat:
-        if x > best:
-            prefix.append(x)
-            best = x
-    suffix: list[int] = []
-    best = 0
-    for x in reversed(flat):
-        if x > best:
-            suffix.append(x)
-            best = x
-    suffix.reverse()
-    return tuple(prefix[:-1] + suffix)
+    return _records([x for code in codes for x in code])
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,15 @@ as the reference for differential tests: the BFS junction graph over
 (variable, side) vertices, ``_run`` rebuilding it at every level, and
 the ``flags_with``-based enumeration.  The new engine must give the
 same valuations, l, shortest matches and enumeration order.
+
+Below it, the 2-SAT solver over an implication graph, the reference that
+``tests/test_boundary.py`` checks the junction solver against.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from itertools import product
 
 from zimin.errors import EnumerationLimitError
@@ -297,3 +301,125 @@ def enumerate_instances(pattern: RankedPattern, limit: int = DEFAULT_ENUM_LIMIT)
             seen.add(key)
             out.append(frozen)
     return out
+
+
+# The 2-SAT reference for the same junction systems, independent of the
+# graph solver above and of ``zimin.boundary.AdjacencyGraph``.
+
+
+@dataclass(frozen=True)
+class ConstraintSystem:
+    """Declarative form of a junction system, for checking and for the
+    reference solver."""
+
+    variables: tuple
+    xor_edges: tuple  # ((x, END), (y, START)): the two flags must differ
+    forced: tuple  # vertices pinned to True
+
+    def satisfied_by(self, flags) -> bool:
+        def value(vertex):
+            var, side = vertex
+            first, last = flags[var]
+            return first if side == START else last
+
+        for a, b in self.xor_edges:
+            if value(a) == value(b):
+                return False
+        return all(value(v) for v in self.forced)
+
+
+def build_constraints(pattern, forced=()) -> ConstraintSystem:
+    variables = tuple(dict.fromkeys(pattern))
+    known = set(variables)
+    for var in forced:
+        if var not in known:
+            raise ValueError(f"forced variable {var!r} does not occur in the pattern")
+    edges = dict.fromkeys(
+        ((x, END), (y, START)) for x, y in zip(pattern, pattern[1:])
+    )
+    pins = []
+    for var in dict.fromkeys(forced):
+        pins.append((var, START))
+        pins.append((var, END))
+    return ConstraintSystem(variables, tuple(edges), tuple(pins))
+
+
+def solve_by_implication_graph(system: ConstraintSystem):
+    """Reference 2-SAT solver over the same systems.
+
+    Each flag becomes a boolean; every xor edge contributes the clauses
+    (a or b) and (not a or not b).  Kept independent of AdjacencyGraph
+    so the two can be tested against each other.
+    """
+    bools: dict = {}
+    for var in system.variables:
+        for side in (END, START):
+            bools[(var, side)] = len(bools)
+    m = len(bools)
+
+    def lit(vertex, positive: bool) -> int:
+        return 2 * bools[vertex] + (0 if positive else 1)
+
+    imp: list[list[int]] = [[] for _ in range(2 * m)]
+
+    def clause(a: int, b: int):
+        imp[a ^ 1].append(b)
+        imp[b ^ 1].append(a)
+
+    for a, b in system.xor_edges:
+        clause(lit(a, True), lit(b, True))
+        clause(lit(a, False), lit(b, False))
+    for v in system.forced:
+        pos = lit(v, True)
+        clause(pos, pos)
+
+    total = 2 * m
+    comp = [-1] * total
+    low = [0] * total
+    num = [-1] * total
+    counter = 0
+    ncomp = 0
+    stack: list[int] = []
+    on_stack = [False] * total
+    for root in range(total):
+        if num[root] >= 0:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, ptr = work[-1]
+            if ptr == 0:
+                num[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            if ptr < len(imp[v]):
+                work[-1] = (v, ptr + 1)
+                u = imp[v][ptr]
+                if num[u] < 0:
+                    work.append((u, 0))
+                elif on_stack[u]:
+                    low[v] = min(low[v], num[u])
+            else:
+                work.pop()
+                if work:
+                    pv = work[-1][0]
+                    low[pv] = min(low[pv], low[v])
+                if low[v] == num[v]:
+                    while True:
+                        u = stack.pop()
+                        on_stack[u] = False
+                        comp[u] = ncomp
+                        if u == v:
+                            break
+                    ncomp += 1
+
+    for vertex, b in bools.items():
+        if comp[2 * b] == comp[2 * b + 1]:
+            return None
+    flags: BoundaryAssignment = {}
+    for var in system.variables:
+        # Tarjan pops sink components first, so the smaller id wins
+        first = comp[lit((var, START), True)] < comp[lit((var, START), False)]
+        last = comp[lit((var, END), True)] < comp[lit((var, END), False)]
+        flags[var] = (first, last)
+    return flags

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
 from zimin import (
     MAX_VARIABLES,
+    FreeSetWitness,
     MatchResult,
     RankingResult,
+    ReductionResult,
     SizeLimitError,
     Verdict,
     check_concatenation,
@@ -24,6 +26,7 @@ from zimin import (
     RankedPattern,
     validate_ranking,
 )
+from zimin.avoidability import _canonical
 
 # the 15-symbol, 4-variable pattern built from two near-copies of the same
 # variable; no sequence of free-set deletions empties it
@@ -58,6 +61,8 @@ def test_check_free_set_validation():
         check_free_set(("a", "b"), ())
     with pytest.raises(ValueError):
         check_free_set(("a", "b"), ("q",))
+    with pytest.raises(ValueError):
+        check_free_set((), ("q",))
 
 
 def test_delete_variables():
@@ -169,6 +174,12 @@ def test_methods_agree_on_random_patterns():
         assert by_reduction in (Verdict.UNAVOIDABLE, Verdict.AVOIDABLE)
 
 
+def test_reduction_size_cap_must_be_positive():
+    for size in (0, -3):
+        with pytest.raises(ValueError):
+            is_unavoidable_by_reduction(("a", "b", "a"), size)
+
+
 def test_doubled_pattern_avoidable():
     # any pattern containing xx for some variable is avoidable
     for pattern in [("a", "a"), ("a", "b", "b", "a"), ("c", "a", "a", "c")]:
@@ -231,6 +242,102 @@ def reference_ranking_search(pattern) -> RankingResult:
     if hit:
         return RankingResult(Verdict.UNAVOIDABLE, hit[0], hit[1])
     return RankingResult(Verdict.AVOIDABLE, None, None)
+
+
+def reference_check_free_set(pattern, candidate):
+    """The free-set test before it ran on the junction solver, a dict
+    union-find over ("a", x) and ("b", y) vertices.  Witness that
+    ``candidate`` is a free set of the pattern, or None.
+
+    Freeness asks for sets A, B with x in A iff y in B for every
+    adjacent occurrence pair x y, and the candidate inside B minus A.
+    That is a system of equalities between per-variable booleans, solved
+    here on its connected components.
+    """
+    variables = tuple(dict.fromkeys(pattern))
+    cand = frozenset(candidate)
+    if not cand:
+        raise ValueError("candidate free set must be nonempty")
+    if not cand <= set(variables):
+        raise ValueError("candidate contains variables not in the pattern")
+
+    parent: dict = {}
+    for x in variables:
+        parent[("a", x)] = ("a", x)
+        parent[("b", x)] = ("b", x)
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for x, y in zip(pattern, pattern[1:]):
+        parent[find(("a", x))] = find(("b", y))
+
+    value: dict = {}
+    for f in cand:
+        for vert, want in ((("b", f), True), (("a", f), False)):
+            root = find(vert)
+            if value.get(root, want) != want:
+                return None
+            value[root] = want
+    a_set = frozenset(x for x in variables if value.get(find(("a", x)), False))
+    b_set = frozenset(x for x in variables if value.get(find(("b", x)), False))
+    return FreeSetWitness(cand, a_set, b_set)
+
+
+def reference_reduction_search(pattern, max_free_set_size=None) -> ReductionResult:
+    """The reduction decider before it solved each node once: every
+    candidate through ``reference_check_free_set``.  Search for a chain
+    of free deletions emptying the pattern.
+
+    With max_free_set_size the search is truncated and a miss is only
+    INCONCLUSIVE; unrestricted (or covering all variables) it is a
+    decision procedure.
+    """
+    pattern = tuple(pattern)
+    variables = tuple(dict.fromkeys(pattern))
+    if len(variables) > MAX_VARIABLES:
+        raise SizeLimitError(
+            f"{len(variables)} variables, reduction search is capped at {MAX_VARIABLES}"
+        )
+    if not pattern:
+        return ReductionResult(Verdict.UNAVOIDABLE, ())
+    complete = max_free_set_size is None or max_free_set_size >= len(variables)
+
+    dead: set = set()
+    trace: list = []
+    nodes = 0
+
+    def dfs(p) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if not p:
+            return True
+        key = _canonical(p)
+        if key in dead:
+            return False
+        pvars = tuple(dict.fromkeys(p))
+        bound = len(pvars) if max_free_set_size is None else min(
+            max_free_set_size, len(pvars)
+        )
+        for size in range(1, bound + 1):
+            for combo in combinations(pvars, size):
+                if reference_check_free_set(p, combo) is None:
+                    continue
+                deleted = frozenset(combo)
+                trace.append((p, deleted))
+                if dfs(delete_variables(p, deleted)):
+                    return True
+                trace.pop()
+        dead.add(key)
+        return False
+
+    if dfs(pattern):
+        return ReductionResult(Verdict.UNAVOIDABLE, tuple(trace), nodes)
+    verdict = Verdict.AVOIDABLE if complete else Verdict.INCONCLUSIVE
+    return ReductionResult(verdict, (), nodes)
 
 
 def canonical_patterns(max_vars, max_len):
@@ -327,3 +434,48 @@ def test_layer_search_matches_oracle():
         )
         verdict = is_unavoidable_by_ranking(pattern).verdict
         assert (verdict is Verdict.UNAVOIDABLE) is matched, pattern
+
+
+def test_free_sets_match_reference():
+    # every nonempty candidate of every canonical pattern: the same None or
+    # the same witness as the dict union-find
+    pairs = 0
+    for pattern in canonical_patterns(max_vars=4, max_len=8):
+        variables = tuple(dict.fromkeys(pattern))
+        for size in range(1, len(variables) + 1):
+            for combo in combinations(variables, size):
+                pairs += 1
+                expected = reference_check_free_set(pattern, combo)
+                assert check_free_set(pattern, combo) == expected, (pattern, combo)
+    assert pairs == 42377
+
+
+def _assert_reduction_matches_reference(pattern, max_free_set_size=None):
+    result = is_unavoidable_by_reduction(pattern, max_free_set_size)
+    expected = reference_reduction_search(pattern, max_free_set_size)
+    assert result == expected, (pattern, max_free_set_size)
+
+
+def test_reduction_matches_reference_exhaustively():
+    for pattern in canonical_patterns(max_vars=4, max_len=8):
+        _assert_reduction_matches_reference(pattern)
+        _assert_reduction_matches_reference(pattern, 1)
+
+
+def test_reduction_matches_reference_on_five_variables():
+    patterns = _five_variable_patterns(random.Random(6), 100)
+    assert len(patterns) == 300
+    for pattern in patterns:
+        _assert_reduction_matches_reference(pattern)
+
+
+def test_reduction_hard_avoidable_probe():
+    # Z_7 x Z_7 x: 8 variables, 256 symbols, avoidable because no variable
+    # occurs once; the old search took over a second on it
+    z7 = zimin_pattern(7)
+    pattern = z7 + ("x",) + z7 + ("x",)
+    assert (len(pattern), len(set(pattern))) == (256, 8)
+    result = is_unavoidable_by_reduction(pattern)
+    assert result.verdict is Verdict.AVOIDABLE
+    assert result.nodes == 255
+    assert is_unavoidable_by_ranking(pattern).verdict is Verdict.AVOIDABLE

@@ -5,13 +5,12 @@ from itertools import product
 
 import pytest
 
+from reference_engine import build_constraints, solve_by_implication_graph
 from zimin import (
     AdjacencyGraph,
-    build_constraints,
     count_free_components,
     first_last,
     shortest_first_last,
-    solve_by_implication_graph,
 )
 
 
@@ -32,6 +31,10 @@ def test_first_last_trivial():
     assert first_last(("a",), forced=("a",)) == {"a": (True, True)}
     with pytest.raises(ValueError):
         first_last(("a",), forced=("q",))
+    with pytest.raises(ValueError):
+        first_last((), forced=("q",))
+    with pytest.raises(ValueError):
+        count_free_components((), forced=("q",))
 
 
 def test_free_component_counts():

@@ -199,6 +199,13 @@ def test_enumerate_negative_limit(capsys):
     assert err.startswith("error:") and "-1" in err
 
 
+def test_avoid_max_size_below_one(capsys):
+    for size in ("0", "-1"):
+        code, out, err = run(capsys, "avoid", "aba", "--method", "reduction", "--max-size", size)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and size in err
+
+
 def test_avoid_unavoidable(capsys):
     code, out, _ = run(capsys, "avoid", "aba")
     assert code == 0
