@@ -2,7 +2,8 @@
 
 Exit codes: 0 for a positive answer, 1 for a negative one (no match,
 not a factor, inconclusive), 2 for bad input, 3 when a size or
-enumeration cap is hit.
+enumeration cap is hit (MAX_RANK_DIGITS here, the exponent and
+run-cell caps of the engine).
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ from .words import first_violation, format_word, generate_zimin, parse_word
 
 FORMAT_VERSION = "1"
 
+# ranks are read with at most this many digits, so that l = 2b - 4 of
+# aba and every other output stays under Python's 4300-digit str limit
+MAX_RANK_DIGITS = 4000
+
 
 def parse_code(text: str) -> tuple:
     parts = [p for p in text.replace(",", " ").split() if p]
@@ -53,6 +58,8 @@ def parse_pattern(text: str) -> tuple:
 
 
 def parse_ranks(text: str) -> dict:
+    """``a=2,b=1`` as a dict.  A rank of more than MAX_RANK_DIGITS digits
+    raises SizeLimitError; anything int() rejects is a ValueError."""
     ranks: dict = {}
     for item in text.split(","):
         item = item.strip()
@@ -61,7 +68,13 @@ def parse_ranks(text: str) -> dict:
         var, _, value = item.partition("=")
         if not _:
             raise ValueError(f"expected VAR=RANK, got {item!r}")
-        ranks[var.strip()] = int(value)
+        var = var.strip()
+        digits = value.strip().removeprefix("+").lstrip("0")
+        if len(digits) > MAX_RANK_DIGITS and digits.isdecimal():
+            raise SizeLimitError(
+                f"rank of {var!r} has {len(digits)} digits, cap is {MAX_RANK_DIGITS}"
+            )
+        ranks[var] = int(value)
     return ranks
 
 

@@ -21,6 +21,17 @@ Code = tuple[int, ...]
 # decompress() refuses to materialize words longer than this
 DEFAULT_MAX_LETTERS = 2 ** 25 - 1
 
+# the largest x for which a power 2**x (a count 2**l, a gap of
+# 2**(x-1) - 1 letters) is ever built; past it SizeLimitError is raised
+MAX_EXPONENT = 1 << 20
+
+
+def power_of_two(x: int) -> int:
+    """2**x, or SizeLimitError when x exceeds MAX_EXPONENT."""
+    if x > MAX_EXPONENT:
+        raise SizeLimitError(f"2^{x} is past the exponent cap {MAX_EXPONENT}")
+    return 1 << x
+
 
 def is_unimodal(seq) -> bool:
     """True iff ``seq`` strictly increases to a unique maximum and then
@@ -82,11 +93,32 @@ def compress(word) -> Code:
 
 
 def decompressed_length(code) -> int:
-    """Length of the word encoded by ``code``, as an exact integer."""
+    """Length of the word encoded by ``code``, as an exact integer.
+
+    The gap between records a and b has 2**(min(a,b)-1) - 1 letters, and
+    the smaller of the two is the one farther from the peak.  So every
+    letter x but the peak adds 2**(x-1) letters with its gap, and the
+    letters on each side of the peak are distinct: each side's sum is
+    one integer's set bits, built in time linear in its bit length.
+    Raises SizeLimitError when an exponent exceeds MAX_EXPONENT.
+    """
     code = validate_code(code)
-    total = len(code)
-    for a, b in zip(code, code[1:]):
-        total += 2 ** (min(a, b) - 1) - 1
+    if not code:
+        return 0
+    peak = code.index(max(code))
+    up, down = code[:peak], code[peak + 1 :]
+    # each side is monotone, so its letter next to the peak is its largest
+    top = max(up[-1] if up else 1, down[0] if down else 1)
+    if top - 1 > MAX_EXPONENT:
+        raise SizeLimitError(
+            f"a gap of 2^{top - 1} - 1 letters is past the exponent cap {MAX_EXPONENT}"
+        )
+    total = 1
+    for side in (up, down):
+        bits = bytearray(top + 7 >> 3)
+        for x in side:
+            bits[x - 1 >> 3] |= 1 << (x - 1 & 7)
+        total += int.from_bytes(bits, "little")
     return total
 
 
@@ -123,8 +155,12 @@ def check_concatenation(parts) -> bool:
     facing ends in every round until a single part remains.  Runs in
     time linear in the total code length.
     """
-    active = [deque(validate_code(p)) for p in parts]
-    active = [rep for rep in active if rep]
+    return _joins([validate_code(p) for p in parts])
+
+
+def _joins(codes) -> bool:
+    """check_concatenation on codes that are already validated."""
+    active = [deque(code) for code in codes if code]
     level = 1
     while len(active) > 1:
         for left, right in zip(active, active[1:]):
@@ -148,7 +184,7 @@ def compose(parts) -> Code:
     itself is never expanded.
     """
     codes = [validate_code(p) for p in parts]
-    if not check_concatenation(codes):
+    if not _joins(codes):
         raise NotAFactorError("concatenation is not a Zimin factor")
     return _records([x for code in codes for x in code])
 
@@ -211,7 +247,11 @@ def expand_tokens(tokens, max_letters: int = DEFAULT_MAX_LETTERS) -> Word:
     """Explicit word spelled by a token sequence."""
     total = 0
     for tok in tokens:
-        total += 2 ** tok.order - 1 if isinstance(tok, ZBlock) else 1
+        if isinstance(tok, ZBlock):
+            # past the cap's bit length one block alone exceeds the cap
+            total += 2 ** min(tok.order, max_letters.bit_length() + 1) - 1
+        else:
+            total += 1
         if total > max_letters:
             raise SizeLimitError(f"token expansion exceeds cap {max_letters}")
     out: list[int] = []

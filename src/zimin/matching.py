@@ -10,7 +10,10 @@ The engine walks rank levels downward.  At level i the projection onto
 ranks >= i is refined: variables of rank i enter with value (i), and
 every junction of the projection needs exactly one letter i, which is
 the boundary system solved per level.  Each level contributes its free
-component count to l, and the instance count is 2**l.
+component count to l, and the instance count is 2**l.  Levels between
+two distinct ranks repeat one unforced system, so they are taken in one
+step and the cost grows with the number of distinct ranks, not with
+their numeric values.
 """
 
 from __future__ import annotations
@@ -20,11 +23,15 @@ from dataclasses import dataclass
 from itertools import compress, product
 
 from .boundary import AdjacencyGraph, first_last
-from .compressed import DEFAULT_MAX_LETTERS, decompressed_length
+from .compressed import DEFAULT_MAX_LETTERS, decompressed_length, power_of_two
 from .errors import EnumerationLimitError, SizeLimitError
 from .words import apply_mu
 
 DEFAULT_ENUM_LIMIT = 4096
+
+# the letter runs that rank gaps add to the codes of one match, in cells
+# all told; the 4.05M cells of a 50k-position ruler lifted by 80 ranks fit
+MAX_RUN_CELLS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -109,7 +116,7 @@ def validate_ranking(pattern: RankedPattern):
 
 
 def _peel_events(pattern: RankedPattern):
-    """Per-level deletion records of the projection linked list.
+    """Deletion records of the projection linked list, per distinct rank.
 
     Replayed in reverse they re-insert the rank-i positions when the
     engine descends to level i, so every position costs O(1) overall.
@@ -122,9 +129,9 @@ def _peel_events(pattern: RankedPattern):
     for pos, rank in enumerate(seq):
         by_rank.setdefault(rank, []).append(pos)
     events: dict[int, list[tuple[int, int, int]]] = {}
-    for level in range(1, pattern.max_rank + 1):
+    for level in sorted(by_rank):
         recs = []
-        for pos in by_rank.get(level, ()):
+        for pos in by_rank[level]:
             left, right = prv[pos], nxt[pos]
             recs.append((pos, left, right))
             if left >= 0:
@@ -136,16 +143,27 @@ def _peel_events(pattern: RankedPattern):
 
 
 def _run(pattern: RankedPattern, shortest: bool = False, collect=None):
-    """Descend levels max_rank..1, maintaining compressed values.
+    """Descend the distinct ranks, maintaining compressed values.
 
     Returns (valuation, l, steps) or None when a level system clashes.
     Every ranking that violates a condition clashes, and so do some that
     violate none (see validate_ranking).  Variables are interned in the
     order they enter, by rank and then last occurrence, both descending,
-    so the active ones are always a prefix.  With ``collect`` (an
-    enumeration limit), steps keeps each level's (level, variables
-    above it, active variables, graph, free roots) while 2**l stays
-    within the limit.
+    so the active ones are always a prefix.
+
+    The levels strictly between a rank and the next lower one (or 0)
+    form a gap: they keep that rank's projection and force nothing, so
+    one unforced graph serves them all.  Each gap level adds the graph's
+    component count to l, and its flags are the same at every gap level,
+    so a flagged code gains one run of letters.  Dense ranks have no
+    gaps, and the work grows with the distinct ranks, not their values.
+    Runs adding more than MAX_RUN_CELLS cells in all raise
+    SizeLimitError.
+
+    With ``collect`` (an enumeration limit), steps keeps each level's
+    (level, variables above it, active variables, graph, free roots),
+    one per level, gap levels included, while 2**l stays within the
+    limit.
     """
     symbols = pattern.symbols
     ranks = pattern.ranks
@@ -163,10 +181,11 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None):
     left = [0] * len(names)  # distinct left neighbours per variable
     entering = Counter(ranks.values())  # level -> variables of that rank
     vals: list = []
-    active = total_free = 0
+    active = total_free = run_cells = 0
     steps = [] if collect is not None else None
+    levels = sorted(events, reverse=True)
 
-    for level in range(pattern.max_rank, 0, -1):
+    for level, below in zip(levels, levels[1:] + [0]):
         for pos, lft, rgt in reversed(events[level]):
             if lft >= 0 and rgt < n:
                 key = (end[lft], start[rgt])
@@ -192,17 +211,18 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None):
                 pair_count[key] = cnt + 1
 
         above = active
-        active += entering.get(level, 0)
+        active += entering[level]
         vals.extend(deque((level,)) for _ in range(above, active))
         # a kept graph needs the counts of its own level
-        graph = AdjacencyGraph(active, pair_count, left if steps is None else left[:active])
+        kept_left = left if steps is None else left[:active]
+        graph = AdjacencyGraph(active, pair_count, kept_left)
         free = graph.force(range(above, active))
         if free is None:
             return None
         total_free += free
         if steps is not None:
             steps.append((level, above, active, graph, graph.free_roots(active)))
-            if 2**total_free > collect:
+            if _exceeds(total_free, collect):
                 steps = None  # over the limit: stop keeping graphs
         if shortest:
             # the tail's last flag is already False wherever it is free
@@ -213,7 +233,44 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None):
         for code in compress(vals, lasts):
             code.append(level)
 
+        gap = level - below - 1
+        if not gap:
+            continue
+        graph = AdjacencyGraph(active, pair_count, kept_left)
+        free = graph.components
+        if steps is not None:
+            # free >= 1, so at most collect.bit_length() levels are kept
+            roots = graph.free_roots(active)
+            kept_free = total_free
+            for lvl in range(level - 1, below, -1):
+                steps.append((lvl, active, active, graph, roots))
+                kept_free += free
+                if _exceeds(kept_free, collect):
+                    steps = None
+                    break
+        total_free += gap * free
+        if shortest:
+            graph.pin(start[head], False)
+        firsts, lasts = graph.flags_with({}, active)
+        heads = list(compress(vals, firsts))
+        tails = list(compress(vals, lasts))
+        run_cells += gap * (len(heads) + len(tails))
+        if run_cells > MAX_RUN_CELLS:
+            raise SizeLimitError(
+                f"rank gaps would add {run_cells} code cells, cap is {MAX_RUN_CELLS}"
+            )
+        run = range(level - 1, below, -1)
+        for code in heads:
+            code.extendleft(run)
+        for code in tails:
+            code.extend(run)
+
     return {var: tuple(code) for var, code in zip(names, vals)}, total_free, steps
+
+
+def _exceeds(l: int, limit: int) -> bool:
+    """2**l > limit, without building 2**l."""
+    return limit < 0 or l >= limit.bit_length()
 
 
 def compressed_embedding(pattern: RankedPattern, *, validate: bool = True):
@@ -243,9 +300,11 @@ def shortest_instance(pattern: RankedPattern, *, validate: bool = True):
 
 
 def count_instances(pattern: RankedPattern) -> int:
-    """Exact number of distinct matches (2**l), 0 when there is none."""
+    """Exact number of distinct matches (2**l), 0 when there is none.
+
+    Raises SizeLimitError when l exceeds MAX_EXPONENT."""
     res = compressed_embedding(pattern)
-    return 0 if res is None else 2 ** res.free_components
+    return 0 if res is None else power_of_two(res.free_components)
 
 
 def enumerate_instances(pattern: RankedPattern, limit: int = DEFAULT_ENUM_LIMIT):
@@ -253,8 +312,8 @@ def enumerate_instances(pattern: RankedPattern, limit: int = DEFAULT_ENUM_LIMIT)
 
     The per-level systems do not depend on the bits chosen, so matches
     are exactly the 2**l combinations of the free component bits, all
-    distinct.  Raises EnumerationLimitError (carrying the count) instead
-    of materializing more than ``limit`` results.
+    distinct.  Raises EnumerationLimitError (carrying l) instead of
+    materializing more than ``limit`` results.
     """
     if validate_ranking(pattern):
         return []
@@ -262,8 +321,8 @@ def enumerate_instances(pattern: RankedPattern, limit: int = DEFAULT_ENUM_LIMIT)
     if run is None:
         return []
     canonical, total_free, steps = run
-    if 2**total_free > limit:
-        raise EnumerationLimitError(2**total_free, limit)
+    if _exceeds(total_free, limit):
+        raise EnumerationLimitError(total_free, limit)
 
     # each level's flags under every choice of anchors for its free
     # components, in product order; a match picks one choice per level
@@ -288,7 +347,10 @@ def enumerate_instances(pattern: RankedPattern, limit: int = DEFAULT_ENUM_LIMIT)
 
 
 def instance_length(pattern: RankedPattern, valuation) -> int:
-    """Length of the matched Zimin factor, as an exact integer."""
+    """Length of the matched Zimin factor, as an exact integer.
+
+    Raises SizeLimitError when a code's gap exponent exceeds
+    MAX_EXPONENT (see decompressed_length)."""
     return sum(decompressed_length(valuation[s]) for s in pattern.symbols)
 
 

@@ -26,7 +26,7 @@ def generate_zimin(k: int, max_order: int = DEFAULT_MAX_ORDER) -> Word:
     if k < 1:
         raise ValueError(f"Zimin words are indexed from 1, got {k}")
     if k > max_order:
-        raise SizeLimitError(f"Z_{k} has {2 ** k - 1} letters, above cap 2^{max_order} - 1")
+        raise SizeLimitError(f"Z_{k} has 2^{k} - 1 letters, above cap 2^{max_order} - 1")
     word = [1]
     for letter in range(2, k + 1):
         word = word + [letter] + word

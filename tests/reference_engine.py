@@ -1,8 +1,10 @@
 """The level engine as it was before the union-find solver, kept verbatim
 as the reference for differential tests: the BFS junction graph over
-(variable, side) vertices, ``_run`` rebuilding it at every level, and
-the ``flags_with``-based enumeration.  The new engine must give the
-same valuations, l, shortest matches and enumeration order.
+(variable, side) vertices, ``_run`` rebuilding it at every level from
+max_rank down to 1, gap levels included, from its own per-level
+``_peel_events``, and the ``flags_with``-based enumeration.  The new
+engine must give the same valuations, l, shortest matches and
+enumeration order.
 
 Below it, the 2-SAT solver over an implication graph, the reference that
 ``tests/test_boundary.py`` checks the junction solver against.
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from zimin.errors import EnumerationLimitError
-from zimin.matching import DEFAULT_ENUM_LIMIT, RankedPattern, _peel_events, validate_ranking
+from zimin.matching import DEFAULT_ENUM_LIMIT, RankedPattern, validate_ranking
 
 END = "end"
 START = "start"
@@ -181,6 +183,33 @@ def count_free_components(pattern, forced=(), boundary_minimize: bool = False):
     return len(graph.unvalued_components())
 
 
+def _peel_events(pattern: RankedPattern):
+    """Per-level deletion records of the projection linked list.
+
+    Replayed in reverse they re-insert the rank-i positions when the
+    engine descends to level i, so every position costs O(1) overall.
+    """
+    seq = pattern.rank_sequence
+    n = len(seq)
+    prv = list(range(-1, n - 1))
+    nxt = list(range(1, n + 1))
+    by_rank: dict[int, list[int]] = {}
+    for pos, rank in enumerate(seq):
+        by_rank.setdefault(rank, []).append(pos)
+    events: dict[int, list[tuple[int, int, int]]] = {}
+    for level in range(1, pattern.max_rank + 1):
+        recs = []
+        for pos in by_rank.get(level, ()):
+            left, right = prv[pos], nxt[pos]
+            recs.append((pos, left, right))
+            if left >= 0:
+                nxt[left] = right
+            if right < n:
+                prv[right] = left
+        events[level] = recs
+    return events
+
+
 def _run(pattern: RankedPattern, shortest: bool = False, collect: bool = False):
     """Descend levels max_rank..1, maintaining compressed values.
 
@@ -274,7 +303,7 @@ def enumerate_instances(pattern: RankedPattern, limit: int = DEFAULT_ENUM_LIMIT)
         return []
     count = 2 ** probe[1]
     if count > limit:
-        raise EnumerationLimitError(count, limit)
+        raise EnumerationLimitError(probe[1], limit)
     _, _, steps = _run(pattern, collect=True)
 
     ranks = pattern.ranks

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from zimin.cli import main
+from zimin.cli import MAX_RANK_DIGITS, main
+from zimin.matching import MAX_RUN_CELLS
 
 
 def run(capsys, *argv):
@@ -191,6 +192,41 @@ def test_enumerate_limit(capsys):
     code, out, _ = run(capsys, "enumerate", "x", "--ranks", "x=3", "--limit", "16")
     assert code == 0
     assert len(out.splitlines()) == 16
+
+
+def test_sparse_ranks(capsys):
+    """Exit codes on huge ranks: exact answers where the output is small,
+    3 at a documented cap, 2 only for input that is not a rank."""
+    b = 10**18
+    code, payload, _ = run_json(capsys, "match", "aba", "--ranks", f"a=1,b={b}")
+    assert code == 0
+    assert payload["valuation"] == {"a": [1], "b": [b]}
+    assert payload["l"] == 2 * b - 4
+    code, out, err = run(capsys, "count", "aba", "--ranks", f"a=1,b={b}")
+    assert (code, out) == (3, "")
+    assert "exponent cap" in err
+    # 2^19996 has more than 4300 digits, so the count is given as a power
+    code, out, err = run(capsys, "enumerate", "aba", "--ranks", "a=1,b=10000")
+    assert (code, out) == (3, "")
+    assert "2^19996 solutions exceed enumeration limit 4096" in err
+    code, out, err = run(capsys, "match", "cab", "--ranks", f"c={b},b={b - 1},a=1")
+    assert (code, out) == (3, "")
+    assert f"cap is {MAX_RUN_CELLS}" in err
+
+
+def test_rank_digit_cap(capsys):
+    code, out, err = run(capsys, "match", "aba", "--ranks", "a=1,b=" + "9" * 5001)
+    assert (code, out) == (3, "")
+    assert f"5001 digits, cap is {MAX_RANK_DIGITS}" in err
+    # at the cap the rank is read, and l = 2b - 4 still prints
+    b = int("9" * MAX_RANK_DIGITS)
+    code, payload, _ = run_json(capsys, "match", "aba", "--ranks", f"a=1,b=+00{b}")
+    assert code == 0
+    assert payload["l"] == 2 * b - 4
+    for bad in ("b=x", "b=" + "x" * 5001, "b=1.5"):
+        code, out, err = run(capsys, "match", "aba", "--ranks", "a=1," + bad)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
 
 def test_enumerate_negative_limit(capsys):

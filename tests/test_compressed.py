@@ -23,6 +23,7 @@ from zimin import (
     reduce_extended,
     token_code,
 )
+from zimin.compressed import MAX_EXPONENT
 
 
 def test_compress_zimin_words():
@@ -85,6 +86,40 @@ def test_decompressed_length_exact():
     # stays exact far beyond anything expandable
     big = tuple(range(1, 201)) + tuple(range(199, 0, -1))
     assert decompressed_length(big) == 2**200 - 1
+
+
+def test_decompressed_length_huge_letters():
+    # only the letters off the peak carry gaps, so a huge peak costs nothing
+    assert decompressed_length((10**18,)) == 1
+    assert decompressed_length((1, 10**18, 7)) == 1 + 1 + 2**6
+    # a long run is summed in time linear in its bit length
+    assert decompressed_length(tuple(range(1, 100_001))) == 2**99_999
+    assert decompressed_length((MAX_EXPONENT + 1, 10**18)) == 1 + 2**MAX_EXPONENT
+    for code in [(MAX_EXPONENT + 2, 10**18), (1, 10**18, 10**18 - 1)]:
+        with pytest.raises(SizeLimitError, match="exponent cap"):
+            decompressed_length(code)
+        with pytest.raises(SizeLimitError):
+            decompress(code)
+
+
+def test_decompressed_length_matches_gap_sum():
+    # the per-gap definition, 2**(min(a,b)-1) - 1 letters between records
+    rng = random.Random(5)
+    for _ in range(300):
+        top = rng.randrange(1, 40)
+        up = sorted(rng.sample(range(1, top), rng.randrange(0, top)))
+        down = sorted(rng.sample(range(1, top), rng.randrange(0, top)), reverse=True)
+        code = tuple(up) + (top,) + tuple(down)
+        gaps = sum(2 ** (min(a, b) - 1) - 1 for a, b in zip(code, code[1:]))
+        assert decompressed_length(code) == len(code) + gaps
+
+
+def test_expand_tokens_huge_block():
+    with pytest.raises(SizeLimitError):
+        expand_tokens([ZBlock(10**18)])
+    with pytest.raises(SizeLimitError):
+        expand_tokens([ZBlock(3)], max_letters=6)
+    assert expand_tokens([ZBlock(3)], max_letters=7) == generate_zimin(3)
 
 
 def test_decompress_size_cap():
@@ -162,6 +197,15 @@ def test_compose_rejects_bad_junction():
         compose([(1,), (1,)])
     with pytest.raises(NotAFactorError):
         compose([(1, 2, 1), (2, 1)])
+
+
+def test_compose_rejects_bad_codes_like_check_concatenation():
+    for parts in ([(1, 2, 1), (2, 2)], [(2, 1), (0, 1)], [(1, 3, 2, 4)]):
+        with pytest.raises(ValueError) as composed:
+            compose(parts)
+        with pytest.raises(ValueError) as checked:
+            check_concatenation(parts)
+        assert str(composed.value) == str(checked.value)
 
 
 def test_compose_equals_compress_of_concatenation():

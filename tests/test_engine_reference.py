@@ -6,7 +6,7 @@ tuples, in the same order), l, shortest matches and enumeration order.
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
@@ -42,9 +42,9 @@ def _engine(pattern, shortest):
     return None if match is None else (_frozen(match.valuation), match.free_components)
 
 
-def _enumeration(enumerate_fn, pattern):
+def _enumeration(enumerate_fn, pattern, limit=ENUM_LIMIT):
     try:
-        return [_frozen(val) for val in enumerate_fn(pattern, limit=ENUM_LIMIT)]
+        return [_frozen(val) for val in enumerate_fn(pattern, limit=limit)]
     except EnumerationLimitError as exc:
         return ("limit", exc.count)
 
@@ -60,25 +60,52 @@ def assert_same(pattern, enumerate_too=True):
     return got is not None
 
 
-def test_every_small_canonical_pattern_under_every_ranking():
-    checked = matched = 0
+def small_universe():
+    """Every canonical pattern with <= 3 variables and length <= 6 under
+    every ranking in {1..4}^vars."""
     for symbols in canonical_patterns(max_vars=3, max_len=6):
         variables = tuple(dict.fromkeys(symbols))
         for ranks in product(range(1, 5), repeat=len(variables)):
-            matched += assert_same(RankedPattern(symbols, dict(zip(variables, ranks))))
-            checked += 1
-    assert (checked, matched) == (8744, 140)
+            yield RankedPattern(symbols, dict(zip(variables, ranks)))
 
 
-def test_seeded_patterns():
+def seeded_universe():
+    """2,000 seeded patterns with <= 5 variables, length <= 12, ranks <= 8."""
     rng = random.Random(2061)
-    matched = 0
     for _ in range(2000):
         variables = "vwxyz"[: rng.randrange(1, 6)]
         symbols = tuple(rng.choice(variables) for _ in range(rng.randrange(1, 13)))
         ranks = {v: rng.randrange(1, 9) for v in sorted(set(symbols))}
-        matched += assert_same(RankedPattern(symbols, ranks))
+        yield RankedPattern(symbols, ranks)
+
+
+def gapped(pattern, scale=3, shift=5):
+    """The same pattern with every rank r mapped to scale*r + shift, so
+    that the levels below and between its ranks are gap levels."""
+    ranks = {v: scale * r + shift for v, r in pattern.ranks.items()}
+    return RankedPattern(pattern.symbols, ranks)
+
+
+def test_every_small_canonical_pattern_under_every_ranking():
+    checked = matched = 0
+    for pattern in small_universe():
+        matched += assert_same(pattern)
+        checked += 1
+    assert (checked, matched) == (8744, 140)
+
+
+def test_seeded_patterns():
+    matched = sum(map(assert_same, seeded_universe()))
     assert matched == 264
+
+
+@pytest.mark.parametrize("universe", [small_universe, seeded_universe])
+def test_gapped_ranks(universe):
+    """Gap steps against the per-level reference: the same patterns with
+    ranks 3r + 5 match exactly when the dense ones do, and canonical,
+    shortest and enumeration (limit 64) agree on every one."""
+    matched = sum(assert_same(gapped(pattern)) for pattern in universe())
+    assert matched == {small_universe: 140, seeded_universe: 264}[universe]
 
 
 def test_scaling_pattern():
@@ -124,3 +151,16 @@ def test_left_neighbour_counts():
                 assert graph.left == [sum(y == v for _, y in pairs) for v in names[:active]]
                 graphs += 1
     assert graphs == 510
+
+
+def test_gapped_enumeration():
+    """Ranks 3r + 5 put l at 14 or more, past limit 64.  With ranks 2r
+    the gaps are one level each and l is often small, so both universes
+    are enumerated in full up to limit 256, gap steps included."""
+    listed = 0
+    for pattern in chain(small_universe(), seeded_universe()):
+        pattern = gapped(pattern, 2, 0)
+        got = _enumeration(enumerate_instances, pattern, 256)
+        assert got == _enumeration(ref.enumerate_instances, pattern, 256), pattern
+        listed += len(got) if isinstance(got, list) else 0
+    assert listed == 4840

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import product
 
 import pytest
@@ -9,6 +10,7 @@ from test_avoidability import canonical_patterns
 from zimin import (
     EnumerationLimitError,
     RankedPattern,
+    SizeLimitError,
     check_concatenation,
     compressed_embedding,
     count_instances,
@@ -22,6 +24,7 @@ from zimin import (
     uncompressed_embedding,
     validate_ranking,
 )
+from zimin.matching import MAX_RUN_CELLS
 
 # the two embedding walkthroughs used throughout: a 5-variable pattern with
 # ruler-like ranks, and a 6-variable one with a rich free-choice structure
@@ -229,6 +232,70 @@ def test_gapped_ranking_matches():
     assert result.valuation == {"a": (1,), "b": (3,)}
     assert result.free_components == 3
     assert count_instances(rp) == 8
+
+
+def test_sparse_aba_count_is_exact():
+    for b in range(2, 2001):
+        rp = RankedPattern(tuple("aba"), {"a": 1, "b": b})
+        assert count_instances(rp) == 2 ** (2 * b - 4)
+
+
+def _best_ms(fn, repeat=3):
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        fn()
+        times.append((time.perf_counter() - start) * 1000)
+    return min(times)
+
+
+def test_aba_at_huge_rank():
+    """Cost grows with the distinct ranks, not with b: at b = 10**18 both
+    matches are exact, l = 2b - 4, and count refuses 2**l."""
+    b = 10**18
+    rp = RankedPattern(tuple("aba"), {"a": 1, "b": b})
+    for product_fn in (compressed_embedding, shortest_instance):
+        res = product_fn(rp)
+        assert res.valuation == {"a": (1,), "b": (b,)}
+        assert res.free_components == 2 * b - 4
+        assert _best_ms(lambda: product_fn(rp)) < 10
+    assert instance_length(rp, shortest_instance(rp).valuation) == 3
+
+    def refuse():
+        with pytest.raises(SizeLimitError):
+            count_instances(rp)
+
+    assert _best_ms(refuse) < 50
+    with pytest.raises(EnumerationLimitError) as info:
+        enumerate_instances(rp)
+    assert info.value.free_components == 2 * b - 4
+    assert f"2^{2 * b - 4} solutions" in str(info.value)
+
+
+def test_run_cells_cap():
+    """cab with c = r, b = r - 1, a = 1 gives b the code 2..r-1: exact
+    at r = 10**5, and past MAX_RUN_CELLS a SizeLimitError, fast."""
+    r = 10**5
+    res = compressed_embedding(RankedPattern(tuple("cab"), {"c": r, "b": r - 1, "a": 1}))
+    assert res.valuation == {"c": (r,), "b": tuple(range(2, r)), "a": (1,)}
+    assert res.free_components == 3 * r - 6
+    assert check_concatenation([res.valuation[s] for s in "cab"])
+    huge = RankedPattern(tuple("cab"), {"c": 10**18, "b": 10**18 - 1, "a": 1})
+
+    def refuse():
+        with pytest.raises(SizeLimitError, match=f"cap is {MAX_RUN_CELLS}"):
+            compressed_embedding(huge)
+
+    assert _best_ms(refuse) < 50
+
+
+def test_enumerate_limit_message():
+    """The count is shown in decimal up to 2**64, as 2^l past it."""
+    with pytest.raises(EnumerationLimitError, match="^4611686018427387904 solutions exceed"):
+        enumerate_instances(RankedPattern(("x",), {"x": 32}), limit=8)
+    with pytest.raises(EnumerationLimitError, match="^2\\^66 solutions exceed") as info:
+        enumerate_instances(RankedPattern(("x",), {"x": 34}), limit=8)
+    assert info.value.count == 2**66
 
 
 def test_shortest_instance_is_minimal():

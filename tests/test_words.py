@@ -41,6 +41,8 @@ def test_generate_zimin_input_validation():
         generate_zimin(0)
     with pytest.raises(SizeLimitError):
         generate_zimin(26)
+    with pytest.raises(SizeLimitError, match="2\\^1000000000000000000 - 1 letters"):
+        generate_zimin(10**18)
     # explicit cap override
     assert generate_zimin(5, max_order=5) == generate_zimin(5)
     with pytest.raises(SizeLimitError):
