@@ -24,9 +24,9 @@ class AdjacencyGraph:
     union-find with path halving, whose roots are the smallest vertex of
     their component, counts merges: there are 2*size - merges components.
     Pins are kept per root as the flag of the component's end sides;
-    start sides hold the complement.  ``left[v]`` counts the distinct
-    left neighbours of v, so the start side of v shares a component with
-    an end side exactly when it is positive.
+    start sides hold the complement.  ``left[v]`` is true when v has a
+    left neighbour, that is when the start side of v shares a component
+    with an end side.
     """
 
     def __init__(self, size, pairs, left):
@@ -86,7 +86,7 @@ class AdjacencyGraph:
         if overrides:
             bits = dict(bits)
             for root, anchor in overrides.items():
-                bits[root] = anchor == (root % 2 == 0 or left[root >> 1] > 0)
+                bits[root] = anchor == (root % 2 == 0 or left[root >> 1])
         if not bits:
             return left[:size], [False] * size
         start_flags = {root: not bit for root, bit in bits.items()}
@@ -107,9 +107,9 @@ def _solve(pattern, forced=(), shortest=False):
             raise ValueError(f"forced variable {var!r} does not occur in the pattern")
     vid = list(map(ids.__getitem__, pattern))
     pairs = {(2 * x, 2 * y + 1) for x, y in zip(vid, vid[1:])}
-    left = [0] * len(names)
+    left = [False] * len(names)
     for _, b in pairs:
-        left[b >> 1] += 1
+        left[b >> 1] = True
     graph = AdjacencyGraph(len(names), pairs, left)
     if graph.force(map(ids.__getitem__, forced)) is None:
         return None

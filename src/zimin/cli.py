@@ -59,7 +59,8 @@ def parse_pattern(text: str) -> tuple:
 
 def parse_ranks(text: str) -> dict:
     """``a=2,b=1`` as a dict.  A rank of more than MAX_RANK_DIGITS digits
-    raises SizeLimitError; anything int() rejects is a ValueError."""
+    raises SizeLimitError; a repeated variable, or anything int()
+    rejects, is a ValueError."""
     ranks: dict = {}
     for item in text.split(","):
         item = item.strip()
@@ -69,6 +70,8 @@ def parse_ranks(text: str) -> dict:
         if not _:
             raise ValueError(f"expected VAR=RANK, got {item!r}")
         var = var.strip()
+        if var in ranks:
+            raise ValueError(f"variable {var!r} is ranked twice")
         digits = value.strip().removeprefix("+").lstrip("0")
         if len(digits) > MAX_RANK_DIGITS and digits.isdecimal():
             raise SizeLimitError(

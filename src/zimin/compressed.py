@@ -268,68 +268,31 @@ def expand_tokens(tokens, max_letters: int = DEFAULT_MAX_LETTERS) -> Word:
 def reduce_extended(tokens) -> list:
     """Merge a token sequence into its shortest equivalent form.
 
-    Z_{i-1} i Z_{i-1} collapses to Z_i; merges cascade bottom-up along a
-    max-Cartesian tree of the tokens (leftmost maximum at the root), so
-    each token is touched O(depth) times.  Raises NotAFactorError when
-    the spelled word is not a Zimin factor.
+    Z_{i-1} i Z_{i-1} collapses to Z_i in one left-to-right stack pass,
+    in O(tokens): letter 1 is Z_1, and while a block Z_{i-1} meets
+    Z_{i-1} i on top of the stack the three merge into Z_i, which may
+    complete a triple below.  Merges only regroup tokens, and two
+    triples can share only a block, as in Z_{i-1} i Z_{i-1} i Z_{i-1},
+    which is no factor (two i's in a Zimin word are 2^i apart), so every
+    merge order ends in this same form.  Raises NotAFactorError when the
+    spelled word is not a Zimin factor.
     """
-    items: list = []
+    stack: list = []
     for tok in tokens:
-        if isinstance(tok, ZBlock):
-            items.append(tok)
-        elif tok == 1:
-            items.append(ZBlock(1))
-        elif tok >= 2:
-            items.append(tok)
-        else:
-            raise ValueError("letters must be positive integers")
-    if not items:
-        return []
-
-    def priority(tok) -> int:
-        return tok.order if isinstance(tok, ZBlock) else tok
-
-    n = len(items)
-    left = [-1] * n
-    right = [-1] * n
-    stack: list[int] = []
-    for i in range(n):
-        last = -1
-        while stack and priority(items[stack[-1]]) < priority(items[i]):
-            last = stack.pop()
-        left[i] = last
-        if stack:
-            right[stack[-1]] = i
-        stack.append(i)
-    root = stack[0]
-
-    merged: dict[int, list] = {}
-    # iterative post-order; recursion depth can hit the token count
-    todo = [(root, False)]
-    while todo:
-        node, ready = todo.pop()
-        if not ready:
-            todo.append((node, True))
-            if left[node] >= 0:
-                todo.append((left[node], False))
-            if right[node] >= 0:
-                todo.append((right[node], False))
-            continue
-        lt = merged.pop(left[node], [])
-        rt = merged.pop(right[node], [])
-        tok = items[node]
-        if (
-            not isinstance(tok, ZBlock)
-            and lt
-            and rt
-            and lt[-1] == ZBlock(tok - 1)
-            and rt[0] == ZBlock(tok - 1)
+        if not isinstance(tok, ZBlock):
+            if tok < 1:
+                raise ValueError("letters must be positive integers")
+            if tok == 1:
+                tok = ZBlock(1)
+        while (
+            isinstance(tok, ZBlock)
+            and len(stack) >= 2
+            and stack[-1] == tok.order + 1
+            and stack[-2] == tok
         ):
-            merged[node] = lt[:-1] + [ZBlock(tok)] + rt[1:]
-        else:
-            merged[node] = lt + [tok] + rt
-    result = merged[root]
-
-    if not check_concatenation([token_code(tok) for tok in result]):
+            del stack[-2:]
+            tok = ZBlock(tok.order + 1)
+        stack.append(tok)
+    if not check_concatenation([token_code(tok) for tok in stack]):
         raise NotAFactorError("token sequence does not spell a Zimin factor")
-    return result
+    return stack

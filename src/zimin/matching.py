@@ -178,7 +178,8 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None):
 
     head = -1
     pair_count: dict[tuple, int] = {}  # (end vertex, start vertex) -> count
-    left = [0] * len(names)  # distinct left neighbours per variable
+    # has a left neighbour; positions only enter, so a flag never clears
+    left = [False] * len(names)
     entering = Counter(ranks.values())  # level -> variables of that rank
     vals: list = []
     active = total_free = run_cells = 0
@@ -194,26 +195,21 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None):
                     pair_count[key] = cnt
                 else:
                     del pair_count[key]
-                    left[vid[rgt]] -= 1
             if lft >= 0:
                 key = (end[lft], start[pos])
-                cnt = pair_count.get(key, 0)
-                if not cnt:
-                    left[vid[pos]] += 1
-                pair_count[key] = cnt + 1
+                pair_count[key] = pair_count.get(key, 0) + 1
+                left[vid[pos]] = True
             else:
                 head = pos
             if rgt < n:
                 key = (end[pos], start[rgt])
-                cnt = pair_count.get(key, 0)
-                if not cnt:
-                    left[vid[rgt]] += 1
-                pair_count[key] = cnt + 1
+                pair_count[key] = pair_count.get(key, 0) + 1
+                left[vid[rgt]] = True
 
         above = active
         active += entering[level]
         vals.extend(deque((level,)) for _ in range(above, active))
-        # a kept graph needs the counts of its own level
+        # a kept graph needs the flags of its own level
         kept_left = left if steps is None else left[:active]
         graph = AdjacencyGraph(active, pair_count, kept_left)
         free = graph.force(range(above, active))

@@ -152,6 +152,9 @@ def test_match_bad_ranks(capsys):
     code, _, err = run(capsys, "match", "babca", "--ranks", "a=2;b=1")
     assert code == 2
     assert "error:" in err
+    code, _, err = run(capsys, "match", "ab", "--ranks", "a=1,b=2,a=3")
+    assert code == 2
+    assert "'a'" in err
 
 
 def test_shortest(capsys):

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
+from collections import Counter
+from itertools import chain, combinations, product
 
 import pytest
 
@@ -321,6 +322,129 @@ def test_reduce_extended_agrees_with_compose():
         else:
             with pytest.raises(NotAFactorError):
                 reduce_extended(ext)
+
+
+def reference_reduce_extended(tokens) -> list:
+    """Merge a token sequence into its shortest equivalent form.
+
+    Z_{i-1} i Z_{i-1} collapses to Z_i; merges cascade bottom-up along a
+    max-Cartesian tree of the tokens (leftmost maximum at the root), so
+    each token is touched O(depth) times.  Raises NotAFactorError when
+    the spelled word is not a Zimin factor.
+    """
+    items: list = []
+    for tok in tokens:
+        if isinstance(tok, ZBlock):
+            items.append(tok)
+        elif tok == 1:
+            items.append(ZBlock(1))
+        elif tok >= 2:
+            items.append(tok)
+        else:
+            raise ValueError("letters must be positive integers")
+    if not items:
+        return []
+
+    def priority(tok) -> int:
+        return tok.order if isinstance(tok, ZBlock) else tok
+
+    n = len(items)
+    left = [-1] * n
+    right = [-1] * n
+    stack: list[int] = []
+    for i in range(n):
+        last = -1
+        while stack and priority(items[stack[-1]]) < priority(items[i]):
+            last = stack.pop()
+        left[i] = last
+        if stack:
+            right[stack[-1]] = i
+        stack.append(i)
+    root = stack[0]
+
+    merged: dict[int, list] = {}
+    # iterative post-order; recursion depth can hit the token count
+    todo = [(root, False)]
+    while todo:
+        node, ready = todo.pop()
+        if not ready:
+            todo.append((node, True))
+            if left[node] >= 0:
+                todo.append((left[node], False))
+            if right[node] >= 0:
+                todo.append((right[node], False))
+            continue
+        lt = merged.pop(left[node], [])
+        rt = merged.pop(right[node], [])
+        tok = items[node]
+        if (
+            not isinstance(tok, ZBlock)
+            and lt
+            and rt
+            and lt[-1] == ZBlock(tok - 1)
+            and rt[0] == ZBlock(tok - 1)
+        ):
+            merged[node] = lt[:-1] + [ZBlock(tok)] + rt[1:]
+        else:
+            merged[node] = lt + [tok] + rt
+    result = merged[root]
+
+    if not check_concatenation([token_code(tok) for tok in result]):
+        raise NotAFactorError("token sequence does not spell a Zimin factor")
+    return result
+
+
+def _reduce_outcome(fn, tokens):
+    try:
+        return fn(tokens)
+    except (ValueError, NotAFactorError) as exc:
+        return type(exc)
+
+
+def _has_mergeable_triple(tokens) -> bool:
+    return any(
+        a == c == ZBlock(b - 1)
+        for a, b, c in zip(tokens, tokens[1:], tokens[2:])
+        if not isinstance(b, ZBlock)
+    )
+
+
+def _z4_splits():
+    """Every split of every window of Z_4 of at most 8 letters, as the
+    concatenated extend tokens of its parts."""
+    z4 = generate_zimin(4)
+    for i in range(len(z4)):
+        for j in range(i + 1, min(i + 8, len(z4)) + 1):
+            window = z4[i:j]
+            for cuts in product((False, True), repeat=len(window) - 1):
+                bounds = [0] + [k + 1 for k, cut in enumerate(cuts) if cut] + [len(window)]
+                yield [
+                    tok for a, b in zip(bounds, bounds[1:]) for tok in extend(compress(window[a:b]))
+                ]
+
+
+def _random_token_sequences(count, seed):
+    """Blocks and letters of order up to 5, letters below 1 included;
+    most sequences are no factor."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        picks = (int(11 * rng.random()) for _ in range(int(9 * rng.random())))
+        yield [ZBlock(k + 1) if k < 5 else k - 5 for k in picks]
+
+
+def test_reduce_extended_equals_reference():
+    """The stack pass gives the Cartesian-tree reduction's list, or its
+    exception type, and leaves no Z_{i-1} i Z_{i-1} triple."""
+    splits = list(_z4_splits())
+    assert len(splits) == 2287
+    outcomes = Counter()
+    for tokens in chain(splits, _random_token_sequences(20000, 8)):
+        got = _reduce_outcome(reduce_extended, tokens)
+        assert got == _reduce_outcome(reference_reduce_extended, tokens), tokens
+        if isinstance(got, list):
+            assert not _has_mergeable_triple(got), tokens
+        outcomes[got if isinstance(got, type) else list] += 1
+    assert outcomes == {list: 7308, NotAFactorError: 9089, ValueError: 5890}
 
 
 def test_token_code():

@@ -132,10 +132,11 @@ def test_name_level_helpers():
             )
 
 
-def test_left_neighbour_counts():
-    """Each level graph's ``left`` holds the exact number of distinct left
-    neighbours per variable.  The outputs only read left > 0, which never
-    falls as levels descend, so this is the check on the count itself."""
+def test_left_neighbour_flags():
+    """Each level graph's ``left`` flags exactly the variables with a left
+    neighbour in that level's projection.  The engine sets a flag when a
+    pair enters and never clears one, so a kept graph of a higher level
+    must still hold the flags of its own level."""
     graphs = 0
     for symbols in canonical_patterns(max_vars=3, max_len=6):
         variables = tuple(dict.fromkeys(symbols))
@@ -147,8 +148,7 @@ def test_left_neighbour_counts():
             names = list(out[0])
             for level, _, active, graph, _ in out[2]:
                 proj = [s for s in symbols if ranks[s] >= level]
-                pairs = set(zip(proj, proj[1:]))
-                assert graph.left == [sum(y == v for _, y in pairs) for v in names[:active]]
+                assert graph.left == [v in proj[1:] for v in names[:active]]
                 graphs += 1
     assert graphs == 510
 
