@@ -9,8 +9,11 @@ Those inequations live on a graph whose vertices are (variable, side)
 and whose edges join an end side to a start side, so the graph is
 bipartite and conflicts can only come from forced variables.  Each
 connected component carries a single free bit.  ``AdjacencyGraph``
-solves one such system; the matching engine, both avoidability
-deciders and the name-level helpers below all use it.
+solves one such system; both avoidability deciders and the name-level
+helpers below use it.  The matching engine builds no graph per level:
+it keeps its components across levels and rebuilds only those a level's
+insertions touch (see ``matching._run``), and takes an AdjacencyGraph
+of a level only as a snapshot for enumeration.
 """
 
 from __future__ import annotations

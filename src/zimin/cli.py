@@ -72,8 +72,11 @@ def parse_ranks(text: str) -> dict:
         var = var.strip()
         if var in ranks:
             raise ValueError(f"variable {var!r} is ranked twice")
-        digits = value.strip().removeprefix("+").lstrip("0")
-        if len(digits) > MAX_RANK_DIGITS and digits.isdecimal():
+        text = value.strip().removeprefix("+")
+        # int() also reads single underscores between digits, which are
+        # not digits; "__" in "_text_" finds every misplaced underscore
+        digits = text.replace("_", "").lstrip("0")
+        if len(digits) > MAX_RANK_DIGITS and digits.isdecimal() and "__" not in f"_{text}_":
             raise SizeLimitError(
                 f"rank of {var!r} has {len(digits)} digits, cap is {MAX_RANK_DIGITS}"
             )

@@ -7,13 +7,24 @@ factor.  Values are handled in compressed form throughout, so matched
 instances may be astronomically longer than anything materialized here.
 
 The engine walks rank levels downward.  At level i the projection onto
-ranks >= i is refined: variables of rank i enter with value (i), and
-every junction of the projection needs exactly one letter i, which is
-the boundary system solved per level.  Each level contributes its free
-component count to l, and the instance count is 2**l.  Levels between
-two distinct ranks repeat one unforced system, so they are taken in one
-step and the cost grows with the number of distinct ranks, not with
-their numeric values.
+ranks >= i is refined: the positions of rank i, all occurrences of the
+variables that enter with value (i), are inserted, and every junction
+of the projection needs exactly one letter i, which is the boundary
+system of that level.  Each level contributes its free component count
+to l, and the instance count is 2**l.
+
+That system is not rebuilt per level.  Its junction components persist
+from level to level, and an insertion changes only the components that
+hold the old sides it touches, the end side of its left neighbour and
+the start side of its right one: pairs between old sides only
+disappear, and both ends of a removed pair are touched.  Only those
+components are rebuilt, and only they and the components pinned at the
+step before can change flags.  A flag that stays on adds its letter at
+every level, so it is kept as one run of letters, written once when it
+turns off.  Levels between two distinct ranks repeat one unforced
+system, so they are taken in one step, and the cost grows with the
+distinct ranks and the components that change, not with the ranks'
+numeric values.
 """
 
 from __future__ import annotations
@@ -142,6 +153,17 @@ def _peel_events(pattern: RankedPattern):
     return events
 
 
+def _steps(events):
+    """The engine's steps, top down, as (top level, levels spanned,
+    insertion records): each distinct rank is one step, and the gap of
+    unforced levels below it, if there is one, is one more."""
+    levels = sorted(events, reverse=True)
+    for level, below in zip(levels, levels[1:] + [0]):
+        yield level, 1, events[level]
+        if level - below > 1:
+            yield level - 1, level - below - 1, ()
+
+
 def _run(pattern: RankedPattern, shortest: bool = False, collect=None):
     """Descend the distinct ranks, maintaining compressed values.
 
@@ -151,19 +173,35 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None):
     order they enter, by rank and then last occurrence, both descending,
     so the active ones are always a prefix.
 
-    The levels strictly between a rank and the next lower one (or 0)
-    form a gap: they keep that rank's projection and force nothing, so
-    one unforced graph serves them all.  Each gap level adds the graph's
-    component count to l, and its flags are the same at every gap level,
-    so a flagged code gains one run of letters.  Dense ranks have no
-    gaps, and the work grows with the distinct ranks, not their values.
-    Runs adding more than MAX_RUN_CELLS cells in all raise
-    SizeLimitError.
+    The junction components live across levels: a dict per vertex maps
+    each neighbour to its pair multiplicity, and a label per vertex names
+    its component.  A level inserts occurrences of its entering variables
+    only, so its insertions drop the pair (end[lft], start[rgt]) and add
+    pairs that each hold a new vertex and end[lft] or start[rgt].  So only the components holding a touched old vertex
+    (end[lft], start[rgt]) can change: they are dissolved and rebuilt,
+    together with the new variables' vertices, by a search over the live
+    pairs.  A side's flag is the pin of its component when pinned, else
+    False for an end side and left[v] for a start side; left[v] changes
+    only when the start side of v is touched.  So flags are recomputed
+    only for rebuilt components and for components pinned at the
+    previous step.  The pins of a step are on new vertices, which are
+    rebuilt, or with ``shortest`` on the head's component, which was
+    pinned at the previous step too unless it was rebuilt.
+
+    Each flag that turns True opens a run of letters at that step's top
+    level; when it turns False, or at the end (level 1), the run goes
+    into the code in one deque extend.  The levels strictly between a
+    rank and the next lower one (or 0) form a gap: they keep that rank's
+    projection and force nothing, so the gap is one unforced step that
+    adds gap * components to l and whose True flags cover all its
+    levels.  The work grows with the distinct ranks and the components
+    that change, not with the ranks' values.  Gap runs adding more than
+    MAX_RUN_CELLS cells in all raise SizeLimitError.
 
     With ``collect`` (an enumeration limit), steps keeps each level's
     (level, variables above it, active variables, graph, free roots),
     one per level, gap levels included, while 2**l stays within the
-    limit.
+    limit; the graph is an AdjacencyGraph of that level's pairs.
     """
     symbols = pattern.symbols
     ranks = pattern.ranks
@@ -175,93 +213,137 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None):
     vid = [ids[s] for s in symbols]
     end = [2 * v for v in vid]
     start = [e + 1 for e in end]
+    size = 2 * len(names)
 
-    head = -1
-    pair_count: dict[tuple, int] = {}  # (end vertex, start vertex) -> count
+    adj = [{} for _ in range(size)]  # vertex -> {neighbour: pair multiplicity}
+    comp = [-1] * size  # component label, -1 until the vertex enters
+    members: dict[int, list] = {}  # label -> vertices
+    pins: dict = {}  # label -> flag of the component's end sides, this step
+    flag = [False] * size  # each side's flag at the last step
+    opened = [0] * size  # top level of the step where a True flag's run opened
     # has a left neighbour; positions only enter, so a flag never clears
     left = [False] * len(names)
     entering = Counter(ranks.values())  # level -> variables of that rank
     vals: list = []
-    active = total_free = run_cells = 0
+    head = -1
+    label = active = components = true_sides = total_free = run_cells = 0
     steps = [] if collect is not None else None
-    levels = sorted(events, reverse=True)
 
-    for level, below in zip(levels, levels[1:] + [0]):
-        for pos, lft, rgt in reversed(events[level]):
-            if lft >= 0 and rgt < n:
-                key = (end[lft], start[rgt])
-                cnt = pair_count[key] - 1
-                if cnt:
-                    pair_count[key] = cnt
-                else:
-                    del pair_count[key]
+    for top, weight, recs in _steps(events):
+        touched = set()  # labels of the components of touched vertices
+        for pos, lft, rgt in reversed(recs):
             if lft >= 0:
-                key = (end[lft], start[pos])
-                pair_count[key] = pair_count.get(key, 0) + 1
+                a, b = end[lft], start[pos]
+                if rgt < n:
+                    c = start[rgt]
+                    cnt = adj[a][c] - 1
+                    if cnt:
+                        adj[a][c] = adj[c][a] = cnt
+                    else:
+                        del adj[a][c], adj[c][a]
+                adj[a][b] = adj[b][a] = adj[a].get(b, 0) + 1
                 left[vid[pos]] = True
+                touched.add(comp[a])
             else:
                 head = pos
             if rgt < n:
-                key = (end[pos], start[rgt])
-                pair_count[key] = pair_count.get(key, 0) + 1
+                a, b = end[pos], start[rgt]
+                adj[a][b] = adj[b][a] = adj[a].get(b, 0) + 1
                 left[vid[rgt]] = True
+                touched.add(comp[b])
 
         above = active
-        active += entering[level]
-        vals.extend(deque((level,)) for _ in range(above, active))
-        # a kept graph needs the flags of its own level
-        kept_left = left if steps is None else left[:active]
-        graph = AdjacencyGraph(active, pair_count, kept_left)
-        free = graph.force(range(above, active))
-        if free is None:
-            return None
-        total_free += free
-        if steps is not None:
-            steps.append((level, above, active, graph, graph.free_roots(active)))
-            if _exceeds(total_free, collect):
-                steps = None  # over the limit: stop keeping graphs
-        if shortest:
-            # the tail's last flag is already False wherever it is free
-            graph.pin(start[head], False)
-        firsts, lasts = graph.flags_with({}, above)
-        for code in compress(vals, firsts):
-            code.appendleft(level)
-        for code in compress(vals, lasts):
-            code.append(level)
+        active += entering[top]
+        vals.extend(deque((top,)) for _ in range(above, active))
+        touched.discard(-1)  # the touched side is a new vertex
+        fresh = list(range(2 * above, 2 * active))
+        for lab in touched:
+            fresh += members.pop(lab)
+        for u in fresh:
+            comp[u] = -1
+        rebuilt = set()
+        for u in fresh:
+            if comp[u] < 0:
+                label += 1
+                comp[u] = label
+                group = [u]
+                for x in group:
+                    for y in adj[x]:
+                        if comp[y] < 0:
+                            comp[y] = label
+                            group.append(y)
+                members[label] = group
+                rebuilt.add(label)
+        components += len(rebuilt) - len(touched)
 
-        gap = level - below - 1
-        if not gap:
-            continue
-        graph = AdjacencyGraph(active, pair_count, kept_left)
-        free = graph.components
+        prev, pins = pins, {}
+        for v in range(above, active):
+            if not pins.setdefault(comp[2 * v], True) or pins.setdefault(comp[2 * v + 1], False):
+                return None
+        free = components - len(pins)
         if steps is not None:
-            # free >= 1, so at most collect.bit_length() levels are kept
+            pairs = ((u, w) for u in range(0, 2 * active, 2) for w in adj[u])
+            graph = AdjacencyGraph(active, pairs, left[:active])
+            graph.force(range(above, active))
             roots = graph.free_roots(active)
+            # free >= 1 at a gap, so at most collect.bit_length() gap levels are kept
             kept_free = total_free
-            for lvl in range(level - 1, below, -1):
-                steps.append((lvl, active, active, graph, roots))
+            for lvl in range(top, top - weight, -1):
+                steps.append((lvl, above, active, graph, roots))
                 kept_free += free
                 if _exceeds(kept_free, collect):
-                    steps = None
+                    steps = None  # over the limit: stop keeping graphs
                     break
-        total_free += gap * free
+        total_free += weight * free
         if shortest:
-            graph.pin(start[head], False)
-        firsts, lasts = graph.flags_with({}, active)
-        heads = list(compress(vals, firsts))
-        tails = list(compress(vals, lasts))
-        run_cells += gap * (len(heads) + len(tails))
-        if run_cells > MAX_RUN_CELLS:
-            raise SizeLimitError(
-                f"rank gaps would add {run_cells} code cells, cap is {MAX_RUN_CELLS}"
-            )
-        run = range(level - 1, below, -1)
-        for code in heads:
-            code.extendleft(run)
-        for code in tails:
-            code.extend(run)
+            # the tail's last flag is already False wherever it is free
+            pins.setdefault(comp[start[head]], True)
 
+        # the variables entering at this step emit no flags yet
+        emitting = 2 * above
+        for lab in rebuilt.union(prev):
+            group = members.get(lab)
+            if group is None:
+                continue  # dissolved: its vertices are in rebuilt components
+            bit = pins.get(lab)
+            for u in group:
+                if u >= emitting:
+                    continue
+                if bit is not None:
+                    now = bit != (u & 1)
+                else:
+                    now = left[u >> 1] if u & 1 else False
+                if now == flag[u]:
+                    continue
+                flag[u] = now
+                if now:
+                    opened[u] = top
+                    true_sides += 1
+                else:
+                    true_sides -= 1
+                    _add_run(vals[u >> 1], u, opened[u], top)
+
+        if not recs:
+            run_cells += weight * true_sides
+            if run_cells > MAX_RUN_CELLS:
+                raise SizeLimitError(
+                    f"rank gaps would add {run_cells} code cells, cap is {MAX_RUN_CELLS}"
+                )
+
+    for u in range(size):
+        if flag[u]:
+            _add_run(vals[u >> 1], u, opened[u], 0)
     return {var: tuple(code) for var, code in zip(names, vals)}, total_free, steps
+
+
+def _add_run(code, side, opened, closed):
+    """Letters opened down to closed + 1, at the front of code for a start
+    side and at its back for an end side."""
+    run = range(opened, closed, -1)
+    if side & 1:
+        code.extendleft(run)
+    else:
+        code.extend(run)
 
 
 def _exceeds(l: int, limit: int) -> bool:

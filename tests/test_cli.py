@@ -221,12 +221,17 @@ def test_rank_digit_cap(capsys):
     code, out, err = run(capsys, "match", "aba", "--ranks", "a=1,b=" + "9" * 5001)
     assert (code, out) == (3, "")
     assert f"5001 digits, cap is {MAX_RANK_DIGITS}" in err
+    # underscores are not digits: both ranks are over the cap, not bad input
+    for digits in (4101, 4501):
+        code, out, err = run(capsys, "match", "aba", "--ranks", "a=1,b=1_" + "0" * (digits - 1))
+        assert (code, out) == (3, "")
+        assert f"{digits} digits, cap is {MAX_RANK_DIGITS}" in err
     # at the cap the rank is read, and l = 2b - 4 still prints
     b = int("9" * MAX_RANK_DIGITS)
     code, payload, _ = run_json(capsys, "match", "aba", "--ranks", f"a=1,b=+00{b}")
     assert code == 0
     assert payload["l"] == 2 * b - 4
-    for bad in ("b=x", "b=" + "x" * 5001, "b=1.5"):
+    for bad in ("b=x", "b=" + "x" * 5001, "b=1.5", "b=1__" + "0" * 5000, "b=_1" + "0" * 5000):
         code, out, err = run(capsys, "match", "aba", "--ranks", "a=1," + bad)
         assert (code, out) == (2, "")
         assert err.startswith("error:")

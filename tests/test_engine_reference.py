@@ -1,6 +1,7 @@
-"""Differential tests of the union-find level engine against the BFS
-engine it replaced (``reference_engine``): identical valuations (as
-tuples, in the same order), l, shortest matches and enumeration order.
+"""Differential tests of the level engine, which keeps its junction
+components across levels, against the per-level BFS engine
+(``reference_engine``): identical valuations (as tuples, in the same
+order), l, shortest matches and enumeration order.
 """
 
 from __future__ import annotations
@@ -117,6 +118,39 @@ def test_scaling_pattern():
             enumerate_fn(pattern)
         counts.append(exc.value.count)
     assert counts[0] == counts[1]
+
+
+def larger_universe():
+    """1,500 seeded patterns with <= 11 variables, length <= 60 and ranks
+    <= 13; 300 ruler-shaped patterns of <= 400 positions, each ruler value
+    taken by one of up to three variables of that rank, so variables
+    repeat; and one chain plus ruler of top rank 100.  Their components
+    merge and split over many levels."""
+    rng = random.Random(9)
+    for _ in range(1500):
+        variables = range(rng.randrange(1, 12))
+        symbols = tuple(rng.choice(variables) for _ in range(rng.randrange(1, 61)))
+        yield RankedPattern(symbols, {v: rng.randrange(1, 14) for v in set(symbols)})
+    for _ in range(300):
+        first = rng.randrange(1, 1 << 12)
+        names = [rng.randrange(1, 4) for _ in range(14)]  # variables per ruler value
+        symbols = []
+        for p in range(first, first + rng.randrange(1, 401)):
+            value = (p & -p).bit_length()
+            symbols.append((value, rng.randrange(names[value])))
+        yield RankedPattern(tuple(symbols), {s: s[0] for s in symbols})
+    yield make_scaling_pattern(82 + 127, top_rank=100, ruler_max=7)
+
+
+@pytest.mark.parametrize("ranks", ["dense", "3r+5"])
+def test_larger_universe(ranks):
+    """Canonical and shortest matches against the per-level reference on
+    the larger universe, with its own ranks and with ranks 3r + 5."""
+    patterns = larger_universe()
+    if ranks == "3r+5":
+        patterns = map(gapped, patterns)
+    matched = sum(assert_same(pattern, enumerate_too=False) for pattern in patterns)
+    assert matched == 368
 
 
 def test_name_level_helpers():

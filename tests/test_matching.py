@@ -24,6 +24,7 @@ from zimin import (
     uncompressed_embedding,
     validate_ranking,
 )
+from zimin import matching
 from zimin.matching import MAX_RUN_CELLS
 
 # the two embedding walkthroughs used throughout: a 5-variable pattern with
@@ -287,6 +288,20 @@ def test_run_cells_cap():
             compressed_embedding(huge)
 
     assert _best_ms(refuse) < 50
+
+
+def test_run_cells_cap_is_exact(monkeypatch):
+    """cab with c = r, b = r - 1, a = 1 flags one side of b through the
+    gap r-2..2, so the gap adds r - 3 cells: at a cap of 100, r = 103
+    matches and r = 104 is refused."""
+    monkeypatch.setattr(matching, "MAX_RUN_CELLS", 100)
+
+    def cab(r):
+        return RankedPattern(tuple("cab"), {"c": r, "b": r - 1, "a": 1})
+
+    assert compressed_embedding(cab(103)).valuation["b"] == tuple(range(2, 103))
+    with pytest.raises(SizeLimitError, match="^rank gaps would add 101 code cells, cap is 100$"):
+        compressed_embedding(cab(104))
 
 
 def test_enumerate_limit_message():
