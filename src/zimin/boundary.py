@@ -10,10 +10,10 @@ and whose edges join an end side to a start side, so the graph is
 bipartite and conflicts can only come from forced variables.  Each
 connected component carries a single free bit.  ``AdjacencyGraph``
 solves one such system; both avoidability deciders and the name-level
-helpers below use it.  The matching engine builds no graph per level:
-it keeps its components across levels and rebuilds only those a level's
-insertions touch (see ``matching._run``), and takes an AdjacencyGraph
-of a level only as a snapshot for enumeration.
+helpers below use it.  The matching engine builds no AdjacencyGraph at
+all: it keeps its components across levels and rebuilds only those a
+level's insertions touch, and enumerates from those components (see
+``matching._run``).
 """
 
 from __future__ import annotations
@@ -28,14 +28,15 @@ class AdjacencyGraph:
     their component, counts merges: there are 2*size - merges components.
     Pins are kept per root as the flag of the component's end sides;
     start sides hold the complement.  ``left[v]`` is true when v has a
-    left neighbour, that is when the start side of v shares a component
-    with an end side.
+    left neighbour, that is when the start side of v is in some pair.
     """
 
-    def __init__(self, size, pairs, left):
+    def __init__(self, size, pairs):
         parent = list(range(2 * size))
+        left = [False] * size
         merges = 0
         for a, b in pairs:
+            left[b >> 1] = True
             while parent[a] != a:
                 parent[a] = a = parent[parent[a]]
             while parent[b] != b:
@@ -74,22 +75,12 @@ class AdjacencyGraph:
                 return None
         return self.free
 
-    def free_roots(self, size) -> list:
-        """Roots of the free components of variables 0..size-1, in order
-        of their smallest vertex."""
-        return sorted(set(self.root[: 2 * size]).difference(self.pins))
-
-    def flags_with(self, overrides, size):
+    def flags_with(self, size):
         """First flags and last flags of variables 0..size-1, as two lists
-        of truth values.  A free component takes its anchor from
-        ``overrides`` (root -> anchor), else False; the anchor is the flag
-        of its end sides, or of its one start side when it has no end."""
+        of truth values.  A free component has its end sides False, and
+        its start sides True when it has an end side, else False."""
         left = self.left
         bits = self.pins
-        if overrides:
-            bits = dict(bits)
-            for root, anchor in overrides.items():
-                bits[root] = anchor == (root % 2 == 0 or left[root >> 1])
         if not bits:
             return left[:size], [False] * size
         start_flags = {root: not bit for root, bit in bits.items()}
@@ -110,10 +101,7 @@ def _solve(pattern, forced=(), shortest=False):
             raise ValueError(f"forced variable {var!r} does not occur in the pattern")
     vid = list(map(ids.__getitem__, pattern))
     pairs = {(2 * x, 2 * y + 1) for x, y in zip(vid, vid[1:])}
-    left = [False] * len(names)
-    for _, b in pairs:
-        left[b >> 1] = True
-    graph = AdjacencyGraph(len(names), pairs, left)
+    graph = AdjacencyGraph(len(names), pairs)
     if graph.force(map(ids.__getitem__, forced)) is None:
         return None
     if shortest and pattern:
@@ -126,7 +114,7 @@ def _flags(solved):
     if solved is None:
         return None
     names, graph = solved
-    firsts, lasts = graph.flags_with({}, len(names))
+    firsts, lasts = graph.flags_with(len(names))
     return {var: (bool(first), bool(last)) for var, first, last in zip(names, firsts, lasts)}
 
 

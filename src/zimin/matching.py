@@ -31,9 +31,9 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import compress, product
+from itertools import chain, product
 
-from .boundary import AdjacencyGraph, first_last
+from .boundary import first_last
 from .compressed import DEFAULT_MAX_LETTERS, decompressed_length, power_of_two
 from .errors import EnumerationLimitError, SizeLimitError
 from .words import apply_mu
@@ -167,7 +167,10 @@ def _steps(events):
 def _run(pattern: RankedPattern, shortest: bool = False, collect=None):
     """Descend the distinct ranks, maintaining compressed values.
 
-    Returns (valuation, l, steps) or None when a level system clashes.
+    Returns (runs, l, steps, cells) or None when a level system clashes:
+    runs maps each variable to its code as a deque of letter runs in code
+    order (spelled by _spell), and cells counts the letters that rank
+    gaps add to them.
     Every ranking that violates a condition clashes, and so do some that
     violate none (see validate_ranking).  Variables are interned in the
     order they enter, by rank and then last occurrence, both descending,
@@ -177,8 +180,9 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None):
     each neighbour to its pair multiplicity, and a label per vertex names
     its component.  A level inserts occurrences of its entering variables
     only, so its insertions drop the pair (end[lft], start[rgt]) and add
-    pairs that each hold a new vertex and end[lft] or start[rgt].  So only the components holding a touched old vertex
-    (end[lft], start[rgt]) can change: they are dissolved and rebuilt,
+    pairs that each hold a new vertex and end[lft] or start[rgt].  So
+    only the components holding a touched old vertex (end[lft],
+    start[rgt]) can change: they are dissolved and rebuilt,
     together with the new variables' vertices, by a search over the live
     pairs.  A side's flag is the pin of its component when pinned, else
     False for an end side and left[v] for a start side; left[v] changes
@@ -189,19 +193,19 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None):
     pinned at the previous step too unless it was rebuilt.
 
     Each flag that turns True opens a run of letters at that step's top
-    level; when it turns False, or at the end (level 1), the run goes
-    into the code in one deque extend.  The levels strictly between a
-    rank and the next lower one (or 0) form a gap: they keep that rank's
-    projection and force nothing, so the gap is one unforced step that
-    adds gap * components to l and whose True flags cover all its
-    levels.  The work grows with the distinct ranks and the components
-    that change, not with the ranks' values.  Gap runs adding more than
-    MAX_RUN_CELLS cells in all raise SizeLimitError.
+    level; when it turns False, or at the end (level 1), it enters the
+    code as one range.  The levels strictly between a rank and the next
+    lower one (or 0) form a gap: they keep that rank's projection and
+    force nothing, so the gap is one unforced step that adds gap *
+    components to l and whose True flags cover all its levels.  The work
+    grows with the distinct ranks and the components that change, not
+    with the ranks' values.
 
-    With ``collect`` (an enumeration limit), steps keeps each level's
-    (level, variables above it, active variables, graph, free roots),
-    one per level, gap levels included, while 2**l stays within the
-    limit; the graph is an AdjacencyGraph of that level's pairs.
+    With ``collect`` (an enumeration limit), steps keeps one (level,
+    sorted sides of a free component) per free bit while 2**l stays
+    within the limit: levels top down, each gap level on its own, and a
+    level's free components in order of their smallest vertex; else
+    steps is None.
     """
     symbols = pattern.symbols
     ranks = pattern.ranks
@@ -254,7 +258,7 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None):
 
         above = active
         active += entering[top]
-        vals.extend(deque((top,)) for _ in range(above, active))
+        vals.extend(deque(((top,),)) for _ in range(above, active))
         touched.discard(-1)  # the touched side is a new vertex
         fresh = list(range(2 * above, 2 * active))
         for lab in touched:
@@ -281,18 +285,13 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None):
             if not pins.setdefault(comp[2 * v], True) or pins.setdefault(comp[2 * v + 1], False):
                 return None
         free = components - len(pins)
-        if steps is not None:
-            pairs = ((u, w) for u in range(0, 2 * active, 2) for w in adj[u])
-            graph = AdjacencyGraph(active, pairs, left[:active])
-            graph.force(range(above, active))
-            roots = graph.free_roots(active)
-            # free >= 1 at a gap, so at most collect.bit_length() gap levels are kept
-            kept_free = total_free
+        if steps is not None and free:
+            # the entering variables are pinned, so free sides are old ones
+            groups = sorted(sorted(group) for lab, group in members.items() if lab not in pins)
             for lvl in range(top, top - weight, -1):
-                steps.append((lvl, above, active, graph, roots))
-                kept_free += free
-                if _exceeds(kept_free, collect):
-                    steps = None  # over the limit: stop keeping graphs
+                steps += ((lvl, group) for group in groups)
+                if _exceeds(len(steps), collect):
+                    steps = None  # over the limit: stop keeping components
                     break
         total_free += weight * free
         if shortest:
@@ -325,25 +324,29 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None):
 
         if not recs:
             run_cells += weight * true_sides
-            if run_cells > MAX_RUN_CELLS:
-                raise SizeLimitError(
-                    f"rank gaps would add {run_cells} code cells, cap is {MAX_RUN_CELLS}"
-                )
 
     for u in range(size):
         if flag[u]:
             _add_run(vals[u >> 1], u, opened[u], 0)
-    return {var: tuple(code) for var, code in zip(names, vals)}, total_free, steps
+    return dict(zip(names, vals)), total_free, steps, run_cells
 
 
 def _add_run(code, side, opened, closed):
-    """Letters opened down to closed + 1, at the front of code for a start
-    side and at its back for an end side."""
-    run = range(opened, closed, -1)
+    """Letters opened down to closed + 1 as one range, at the front of
+    code for a start side and at its back for an end side."""
     if side & 1:
-        code.extendleft(run)
+        code.appendleft(range(closed + 1, opened + 1))
     else:
-        code.extend(run)
+        code.append(range(opened, closed, -1))
+
+
+def _spell(run):
+    """The valuation of a _run result, each code letter by letter.  Raises
+    SizeLimitError when its rank gaps add more than MAX_RUN_CELLS cells."""
+    runs, _, _, cells = run
+    if cells > MAX_RUN_CELLS:
+        raise SizeLimitError(f"rank gaps would add {cells} code cells, cap is {MAX_RUN_CELLS}")
+    return {var: tuple(chain.from_iterable(code)) for var, code in runs.items()}
 
 
 def _exceeds(l: int, limit: int) -> bool:
@@ -361,7 +364,7 @@ def compressed_embedding(pattern: RankedPattern, *, validate: bool = True):
     if validate and validate_ranking(pattern):
         return None
     out = _run(pattern)
-    return None if out is None else MatchResult(out[0], out[1])
+    return None if out is None else MatchResult(_spell(out), out[1])
 
 
 def shortest_instance(pattern: RankedPattern, *, validate: bool = True):
@@ -374,15 +377,18 @@ def shortest_instance(pattern: RankedPattern, *, validate: bool = True):
     if validate and validate_ranking(pattern):
         return None
     out = _run(pattern, shortest=True)
-    return None if out is None else MatchResult(out[0], out[1])
+    return None if out is None else MatchResult(_spell(out), out[1])
 
 
 def count_instances(pattern: RankedPattern) -> int:
     """Exact number of distinct matches (2**l), 0 when there is none.
 
-    Raises SizeLimitError when l exceeds MAX_EXPONENT."""
-    res = compressed_embedding(pattern)
-    return 0 if res is None else power_of_two(res.free_components)
+    Raises SizeLimitError when l exceeds MAX_EXPONENT; the codes are
+    never spelled, so MAX_RUN_CELLS does not apply."""
+    if validate_ranking(pattern):
+        return 0
+    out = _run(pattern)
+    return 0 if out is None else power_of_two(out[1])
 
 
 def enumerate_instances(pattern: RankedPattern, limit: int = DEFAULT_ENUM_LIMIT):
@@ -390,37 +396,39 @@ def enumerate_instances(pattern: RankedPattern, limit: int = DEFAULT_ENUM_LIMIT)
 
     The per-level systems do not depend on the bits chosen, so matches
     are exactly the 2**l combinations of the free component bits, all
-    distinct.  Raises EnumerationLimitError (carrying l) instead of
-    materializing more than ``limit`` results.
+    distinct.  Setting the bit of a free component of level i flips the
+    letter i on every side of that component: a start side's letters
+    precede the code's peak, an end side's follow it.  Bit vectors come
+    in product order over the components _run collects.  Raises
+    EnumerationLimitError (carrying l) instead of materializing more
+    than ``limit`` results.
     """
     if validate_ranking(pattern):
         return []
     run = _run(pattern, collect=limit)
     if run is None:
         return []
-    canonical, total_free, steps = run
+    canonical = _spell(run)
+    total_free, steps = run[1], run[2]
     if _exceeds(total_free, limit):
         raise EnumerationLimitError(total_free, limit)
 
-    # each level's flags under every choice of anchors for its free
-    # components, in product order; a match picks one choice per level
-    choices = [
-        [
-            graph.flags_with(dict(zip(roots, bits)), above)
-            for bits in product((False, True), repeat=len(roots))
-        ]
-        for _, above, _, graph, roots in steps
-    ]
+    sides = []  # the canonical letter sets, end side 2v and start side 2v + 1
+    for code in canonical.values():
+        peak = code.index(max(code))
+        sides += (set(code[peak + 1 :]), set(code[:peak]))
+    ranks = pattern.ranks
     out = []
-    for picked in product(*choices):
-        vals: list = []
-        for (level, above, active, _, _), (firsts, lasts) in zip(steps, picked):
-            for code in compress(vals, firsts):
-                code.appendleft(level)
-            for code in compress(vals, lasts):
-                code.append(level)
-            vals.extend(deque((level,)) for _ in range(above, active))
-        out.append(dict(zip(canonical, map(tuple, vals))))
+    for bits in product((False, True), repeat=total_free):
+        letters = sides.copy()
+        for (level, group), bit in zip(steps, bits):
+            if bit:
+                for u in group:
+                    letters[u] = letters[u] ^ {level}
+        out.append({
+            var: (*sorted(letters[2 * v + 1]), ranks[var], *sorted(letters[2 * v], reverse=True))
+            for v, var in enumerate(canonical)
+        })
     return out
 
 

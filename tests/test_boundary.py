@@ -125,11 +125,11 @@ def test_differential_random_patterns():
 
 def test_adjacency_graph_direct():
     # variables a=0, b=1; the pair a b joins a's end (0) to b's start (3)
-    graph = AdjacencyGraph(2, [(0, 3)], [0, 1])
+    graph = AdjacencyGraph(2, [(0, 3)])
     assert graph.root[0] not in graph.pins
     assert graph.pin(0, True)
     # the pair forces the facing start flag off
-    firsts, lasts = graph.flags_with({}, 2)
+    firsts, lasts = graph.flags_with(2)
     assert not firsts[1] and not lasts[1]
     # pinning consistently is fine, contradicting is not
     assert graph.pin(0, True)
@@ -137,7 +137,7 @@ def test_adjacency_graph_direct():
 
 
 def test_adjacency_graph_components():
-    graph = AdjacencyGraph(2, [(0, 3)], [0, 1])
+    graph = AdjacencyGraph(2, [(0, 3)])
     assert graph.root[0] == graph.root[3]
     assert graph.free == 3
     assert graph.pin(0, False)

@@ -23,7 +23,6 @@ from zimin import (
     shortest_first_last,
     shortest_instance,
 )
-from zimin.matching import _run
 from zimin.verification import make_scaling_pattern
 
 ENUM_LIMIT = 64
@@ -164,27 +163,6 @@ def test_name_level_helpers():
             assert count_free_components(pattern, forced, minimize) == ref.count_free_components(
                 pattern, forced, minimize
             )
-
-
-def test_left_neighbour_flags():
-    """Each level graph's ``left`` flags exactly the variables with a left
-    neighbour in that level's projection.  The engine sets a flag when a
-    pair enters and never clears one, so a kept graph of a higher level
-    must still hold the flags of its own level."""
-    graphs = 0
-    for symbols in canonical_patterns(max_vars=3, max_len=6):
-        variables = tuple(dict.fromkeys(symbols))
-        for ranks in product(range(1, 5), repeat=len(variables)):
-            ranks = dict(zip(variables, ranks))
-            out = _run(RankedPattern(symbols, ranks), collect=2**64)
-            if out is None:
-                continue
-            names = list(out[0])
-            for level, _, active, graph, _ in out[2]:
-                proj = [s for s in symbols if ranks[s] >= level]
-                assert graph.left == [v in proj[1:] for v in names[:active]]
-                graphs += 1
-    assert graphs == 510
 
 
 def test_gapped_enumeration():

@@ -302,6 +302,25 @@ def test_run_cells_cap_is_exact(monkeypatch):
     assert compressed_embedding(cab(103)).valuation["b"] == tuple(range(2, 103))
     with pytest.raises(SizeLimitError, match="^rank gaps would add 101 code cells, cap is 100$"):
         compressed_embedding(cab(104))
+    # counting spells no code, so the cap does not bind it
+    assert count_instances(cab(104)) == 2**306
+
+
+def test_count_is_not_bound_by_run_cells():
+    """w x0 w x1 ... x999 w with w = 10,001 and x_i = 10,002 + i: its
+    rank gaps would add 10,010,000 code cells, past MAX_RUN_CELLS, but
+    l = 519,500 is within MAX_EXPONENT, so the count is exact, fast."""
+    w = 10_001
+    symbols, ranks = ["w"], {"w": w}
+    for i in range(1000):
+        symbols += [f"x{i}", "w"]
+        ranks[f"x{i}"] = w + 1 + i
+    rp = RankedPattern(symbols, ranks)
+    assert count_instances(rp) == 2**519_500
+    assert _best_ms(lambda: count_instances(rp)) < 200
+    message = f"^rank gaps would add 10010000 code cells, cap is {MAX_RUN_CELLS}$"
+    with pytest.raises(SizeLimitError, match=message):
+        compressed_embedding(rp)
 
 
 def test_enumerate_limit_message():
