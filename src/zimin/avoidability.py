@@ -1,14 +1,20 @@
 """Deciding whether a pattern is unavoidable.
 
-Two deciders over one solver, the junction system of ``boundary`` with
-a set of variables forced; they differ in search direction and memo.
-The reduction method deletes free variable sets until the pattern
-vanishes, solving each pattern once and remembering dead ones; the
-ranking method searches, layer by layer from the top rank down, for a
-ranking admitting a match, remembering dead sets of placed variables.
-Both characterize the same class, so they must always agree, which the
-test suite exploits; the 2-SAT and union-find references in ``tests/``
-pin the solver.
+Two deciders over one clash table.  Deleting a free set F and placing a
+layer L under the placed set P both ask one question of a projection:
+forcing F (or L) pins every end side True and every start side False,
+so it clashes iff some component of the projection's junction graph
+(see ``boundary``) holds the end side of a member and the start side of
+a member.  The table of a shown set S lists each such component as an
+(ends, starts) pair of variable masks, so a test is a few mask ANDs,
+and each decider builds it once per S it reaches.  The reduction
+method deletes free variable sets until the pattern vanishes,
+remembering dead patterns up to renaming; the ranking method searches,
+layer by layer from the top rank down, for a ranking admitting a
+match, remembering dead sets of placed variables.  Both characterize
+the same class, so they must always agree, which the test suite
+exploits; ``check_free_set`` still solves on ``AdjacencyGraph``,
+because its witness needs the pinned sides.
 
 Variable counts are capped: both searches are exponential in the number
 of distinct variables by nature.
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
-from .boundary import _solve, count_free_components
+from .boundary import _solve
 from .errors import SizeLimitError
 from .matching import MatchResult, RankedPattern, compressed_embedding
 
@@ -77,6 +83,31 @@ class ReductionResult:
     nodes: int = 0  # dfs calls
 
 
+def _clash_table(masks) -> list:
+    """Clash table of a pattern given as one variable bit per symbol.
+
+    The junction graph joins x's end side to y's start side for every
+    adjacent pair x y.  Each component with an edge becomes a pair
+    (ends, starts) of the variables whose end sides and whose start
+    sides it holds.  Forcing a set F clashes iff some pair meets F in
+    both masks."""
+    before: dict = {}  # start side's bit -> bits of the variables just before it
+    for x, y in zip(masks, masks[1:]):
+        before[y] = before.get(y, 0) | x
+    table: list = []
+    for starts, ends in before.items():
+        kept = []
+        for e, s in table:
+            if e & ends:
+                ends |= e
+                starts |= s
+            else:
+                kept.append((e, s))
+        kept.append((ends, starts))
+        table = kept
+    return table
+
+
 def _canonical(pattern) -> tuple:
     ren: dict = {}
     out = []
@@ -92,8 +123,8 @@ def is_unavoidable_by_reduction(pattern, max_free_set_size=None) -> ReductionRes
 
     With max_free_set_size the search is truncated and a miss is only
     INCONCLUSIVE; unrestricted (or covering all variables) it is a
-    decision procedure.  Each node solves its junction system once;
-    candidates are then tested on its component roots alone.
+    decision procedure.  Each node builds its clash table once;
+    candidates are then tested on the table alone.
     """
     if max_free_set_size is not None and max_free_set_size < 1:
         raise ValueError(f"max_free_set_size must be at least 1, got {max_free_set_size}")
@@ -106,12 +137,14 @@ def is_unavoidable_by_reduction(pattern, max_free_set_size=None) -> ReductionRes
     if not pattern:
         return ReductionResult(Verdict.UNAVOIDABLE, ())
     complete = max_free_set_size is None or max_free_set_size >= len(variables)
+    bit = {v: 1 << i for i, v in enumerate(variables)}
 
     dead: set = set()
     trace: list = []
     nodes = 0
 
-    def dfs(p) -> bool:
+    def dfs(p, remaining: int) -> bool:
+        # p is the projection of the pattern onto the remaining variables
         nonlocal nodes
         nodes += 1
         if not p:
@@ -119,30 +152,26 @@ def is_unavoidable_by_reduction(pattern, max_free_set_size=None) -> ReductionRes
         key = _canonical(p)
         if key in dead:
             return False
-        pvars, graph = _solve(p)
-        # F clashes iff some f, g in F (f = g included) have f's end side
-        # and g's start side in one component
-        starts: dict = {}
-        for g, root in enumerate(graph.root[1::2]):
-            starts[root] = starts.get(root, 0) | 1 << g
-        clash = [starts.get(root, 0) for root in graph.root[0::2]]
-        bound = len(pvars) if max_free_set_size is None else min(
-            max_free_set_size, len(pvars)
+        table = _clash_table([bit[s] for s in p])
+        # p's variables in order of first occurrence, as the pattern's are
+        pbits = [b for b in bit.values() if b & remaining]
+        bound = len(pbits) if max_free_set_size is None else min(
+            max_free_set_size, len(pbits)
         )
         for size in range(1, bound + 1):
-            for combo in combinations(range(len(pvars)), size):
-                mask = sum(1 << f for f in combo)
-                if any(clash[f] & mask for f in combo):
+            for combo in combinations(pbits, size):
+                free = sum(combo)
+                if any(e & free and s & free for e, s in table):
                     continue
-                deleted = frozenset(pvars[f] for f in combo)
+                deleted = frozenset(v for v, b in bit.items() if b & free)
                 trace.append((p, deleted))
-                if dfs(delete_variables(p, deleted)):
+                if dfs(delete_variables(p, deleted), remaining ^ free):
                     return True
                 trace.pop()
         dead.add(key)
         return False
 
-    if dfs(pattern):
+    if dfs(pattern, (1 << len(variables)) - 1):
         return ReductionResult(Verdict.UNAVOIDABLE, tuple(trace), nodes)
     verdict = Verdict.AVOIDABLE if complete else Verdict.INCONCLUSIVE
     return ReductionResult(verdict, (), nodes)
@@ -153,7 +182,7 @@ class RankingResult:
     verdict: Verdict
     ranking: dict | None
     match: MatchResult | None
-    nodes: int = 0  # layer systems solved
+    nodes: int = 0  # layer systems tested
 
 
 def is_unavoidable_by_ranking(pattern) -> RankingResult:
@@ -165,9 +194,10 @@ def is_unavoidable_by_ranking(pattern) -> RankingResult:
     rank-i variables forced) depends only on the set P of variables
     ranked above i and on the layer of rank i.  So the search runs over
     placed sets P, from none to all, and remembers every P from which no
-    layering succeeds: one system per P and nonempty layer of the rest,
-    at most 3**k - 2**k in all.  A pattern is unavoidable iff some
-    ranking matches, so a miss decides.
+    layering succeeds: one test per P and nonempty layer of the rest,
+    at most 3**k - 2**k in all, each on the clash table of P | layer,
+    which is built once for each of the at most 2**k sets shown.  A
+    pattern is unavoidable iff some ranking matches, so a miss decides.
     """
     pattern = tuple(pattern)
     variables = tuple(dict.fromkeys(pattern))
@@ -183,6 +213,7 @@ def is_unavoidable_by_ranking(pattern) -> RankingResult:
     masks = [bit[s] for s in pattern]
     everything = (1 << k) - 1
     dead: set[int] = set()
+    tables: dict[int, list] = {}  # shown set -> its projection's clash table
     layers: list[int] = []  # top layer first
     nodes = 0
 
@@ -197,9 +228,10 @@ def is_unavoidable_by_ranking(pattern) -> RankingResult:
         while layer:
             nodes += 1
             shown = placed | layer
-            projection = tuple(s for s, m in zip(pattern, masks) if m & shown)
-            forced = tuple(v for v in variables if bit[v] & layer)
-            if count_free_components(projection, forced) is not None:
+            table = tables.get(shown)
+            if table is None:
+                table = tables[shown] = _clash_table([m for m in masks if m & shown])
+            if not any(e & layer and s & layer for e, s in table):
                 layers.append(layer)
                 if place(shown):
                     return True

@@ -9,11 +9,13 @@ Those inequations live on a graph whose vertices are (variable, side)
 and whose edges join an end side to a start side, so the graph is
 bipartite and conflicts can only come from forced variables.  Each
 connected component carries a single free bit.  ``AdjacencyGraph``
-solves one such system; both avoidability deciders and the name-level
-helpers below use it.  The matching engine builds no AdjacencyGraph at
-all: it keeps its components across levels and rebuilds only those a
-level's insertions touch, and enumerates from those components (see
-``matching._run``).
+solves one such system; ``avoidability.check_free_set`` and the
+name-level helpers below use it.  The deciders' searches only ask
+whether a forced set clashes, which they read off per-projection clash
+tables (see ``avoidability``).  The matching engine builds no
+AdjacencyGraph at all: it keeps its components across levels and
+rebuilds only those a level's insertions touch, and enumerates from
+those components (see ``matching._run``).
 """
 
 from __future__ import annotations

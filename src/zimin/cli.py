@@ -216,11 +216,13 @@ def cmd_enumerate(args) -> int:
 def cmd_avoid(args) -> int:
     pattern = parse_pattern(args.pattern)
     payload: dict = {"verdict": None, "ranking": None, "valuation": None, "trace": None}
+    nodes = payload["nodes"] = {"ranking": None, "reduction": None}
     lines: list[str] = []
     verdict = None
     if args.method in ("ranking", "both"):
         rk = is_unavoidable_by_ranking(pattern)
         verdict = rk.verdict
+        nodes["ranking"] = rk.nodes
         if rk.ranking is not None:
             payload["ranking"] = {str(v): r for v, r in rk.ranking.items()}
             lines.append(
@@ -230,6 +232,7 @@ def cmd_avoid(args) -> int:
             payload["valuation"] = _valuation_payload(rk.match.valuation)
     if args.method in ("reduction", "both"):
         rd = is_unavoidable_by_reduction(pattern, args.max_size)
+        nodes["reduction"] = rd.nodes
         if verdict is None or verdict is Verdict.INCONCLUSIVE:
             verdict = rd.verdict
         elif rd.verdict is not Verdict.INCONCLUSIVE and rd.verdict is not verdict:

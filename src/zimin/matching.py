@@ -408,10 +408,10 @@ def enumerate_instances(pattern: RankedPattern, limit: int = DEFAULT_ENUM_LIMIT)
     run = _run(pattern, collect=limit)
     if run is None:
         return []
-    canonical = _spell(run)
     total_free, steps = run[1], run[2]
     if _exceeds(total_free, limit):
         raise EnumerationLimitError(total_free, limit)
+    canonical = _spell(run)
 
     sides = []  # the canonical letter sets, end side 2v and start side 2v + 1
     for code in canonical.values():
@@ -437,7 +437,10 @@ def instance_length(pattern: RankedPattern, valuation) -> int:
 
     Raises SizeLimitError when a code's gap exponent exceeds
     MAX_EXPONENT (see decompressed_length)."""
-    return sum(decompressed_length(valuation[s]) for s in pattern.symbols)
+    return sum(
+        decompressed_length(valuation[var]) * times
+        for var, times in Counter(pattern.symbols).items()
+    )
 
 
 def min_instance_length(pattern: RankedPattern):

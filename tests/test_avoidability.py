@@ -16,6 +16,7 @@ from zimin import (
     check_concatenation,
     check_free_set,
     compressed_embedding,
+    count_free_components,
     decompress,
     delete_variables,
     generate_zimin,
@@ -467,6 +468,94 @@ def test_reduction_matches_reference_on_five_variables():
     assert len(patterns) == 300
     for pattern in patterns:
         _assert_reduction_matches_reference(pattern)
+        _assert_reduction_matches_reference(pattern, 1)
+
+
+def large_reference_patterns():
+    """Z_5..Z_8, abcdefghabcdefgh, Z_7 x Z_7 x and FIFTEEN."""
+    z7 = zimin_pattern(7)
+    return [
+        *(zimin_pattern(k) for k in range(5, 9)),
+        tuple("abcdefghabcdefgh"),
+        z7 + ("x",) + z7 + ("x",),
+        FIFTEEN,
+    ]
+
+
+def test_reduction_matches_reference_on_large_patterns():
+    for pattern in large_reference_patterns():
+        _assert_reduction_matches_reference(pattern)
+        _assert_reduction_matches_reference(pattern, 1)
+
+
+def layer_search_reference(pattern) -> RankingResult:
+    """The layer search as it was when every node solved its own level
+    system: the projection onto P | layer, with the layer forced, through
+    ``count_free_components``.  Same search order and memo, so the same
+    result, nodes included."""
+    pattern = tuple(pattern)
+    variables = tuple(dict.fromkeys(pattern))
+    if not pattern:
+        return RankingResult(Verdict.UNAVOIDABLE, {}, MatchResult({}, 0))
+    k = len(variables)
+    if k > MAX_VARIABLES:
+        raise SizeLimitError(
+            f"{k} variables, ranking search is capped at {MAX_VARIABLES}"
+        )
+
+    bit = {v: 1 << i for i, v in enumerate(variables)}
+    masks = [bit[s] for s in pattern]
+    everything = (1 << k) - 1
+    dead: set[int] = set()
+    layers: list[int] = []  # top layer first
+    nodes = 0
+
+    def place(placed: int) -> bool:
+        nonlocal nodes
+        if placed == everything:
+            return True
+        if placed in dead:
+            return False
+        rest = everything ^ placed
+        layer = rest
+        while layer:
+            nodes += 1
+            shown = placed | layer
+            projection = tuple(s for s, m in zip(pattern, masks) if m & shown)
+            forced = tuple(v for v in variables if bit[v] & layer)
+            if count_free_components(projection, forced) is not None:
+                layers.append(layer)
+                if place(shown):
+                    return True
+                layers.pop()
+            layer = (layer - 1) & rest  # next smaller subset of rest
+        dead.add(placed)
+        return False
+
+    if not place(0):
+        return RankingResult(Verdict.AVOIDABLE, None, None, nodes)
+    top = len(layers)
+    ranking = {
+        v: top - i for v in variables for i, layer in enumerate(layers) if layer & bit[v]
+    }
+    match = compressed_embedding(RankedPattern(pattern, ranking))
+    if match is None:
+        raise RuntimeError(
+            f"layer search accepted ranking {ranking} but the engine rejects it"
+        )
+    return RankingResult(Verdict.UNAVOIDABLE, ranking, match, nodes)
+
+
+def test_ranking_matches_layer_search_reference():
+    # whole results: verdict, ranking, match and nodes
+    patterns = [
+        *canonical_patterns(max_vars=4, max_len=8),
+        *_five_variable_patterns(random.Random(6), 100),
+        *large_reference_patterns(),
+    ]
+    assert len(patterns) == 3771 + 300 + 7
+    for pattern in patterns:
+        assert is_unavoidable_by_ranking(pattern) == layer_search_reference(pattern), pattern
 
 
 def test_reduction_hard_avoidable_probe():

@@ -267,6 +267,15 @@ def test_avoid_json(capsys):
     assert payload["ranking"] == {"a": 1, "b": 2}
     assert payload["trace"] == [["aba", ["a"]], ["b", ["b"]]]
     assert payload["valuation"] == {"a": [1], "b": [2]}
+    assert payload["nodes"] == {"ranking": 3, "reduction": 3}
+
+
+def test_avoid_json_nodes_of_one_method(capsys):
+    # a decider that was not run reports null
+    _, payload, _ = run_json(capsys, "avoid", "aba", "--method", "ranking")
+    assert payload["nodes"] == {"ranking": 3, "reduction": None}
+    _, payload, _ = run_json(capsys, "avoid", "aba", "--method", "reduction")
+    assert payload["nodes"] == {"ranking": None, "reduction": 3}
 
 
 def test_avoid_avoidable(capsys):

@@ -20,9 +20,11 @@ from zimin import (
     count_free_components,
     enumerate_instances,
     first_last,
+    instance_length,
     shortest_first_last,
     shortest_instance,
 )
+from zimin.compressed import decompressed_length
 from zimin.verification import make_scaling_pattern
 
 ENUM_LIMIT = 64
@@ -176,3 +178,21 @@ def test_gapped_enumeration():
         assert got == _enumeration(ref.enumerate_instances, pattern, 256), pattern
         listed += len(got) if isinstance(got, list) else 0
     assert listed == 4840
+
+
+def test_instance_length_sums_per_occurrence():
+    """instance_length sums each distinct variable's length times its
+    occurrences; the integer equals the per-occurrence sum on every
+    canonical and shortest match of both universes, dense and 3r + 5."""
+    summed = 0
+    for pattern in chain(small_universe(), seeded_universe()):
+        for pattern in (pattern, gapped(pattern)):
+            for product_fn in (compressed_embedding, shortest_instance):
+                match = product_fn(pattern, validate=False)
+                if match is None:
+                    continue
+                val = match.valuation
+                want = sum(decompressed_length(val[s]) for s in pattern.symbols)
+                assert instance_length(pattern, val) == want, pattern
+                summed += 1
+    assert summed == 4 * (140 + 264)

@@ -348,6 +348,21 @@ def test_instance_length_counts_occurrences():
     assert instance_length(rp, valuation) == total == 6
 
 
+def test_refused_enumeration_spells_nothing(monkeypatch):
+    """l is checked against the limit before any code is spelled: cab with
+    c = r, b = r - 1, a = 1 is refused with l = 3r - 6 at r = 10**7,
+    where spelling b's code would pass MAX_RUN_CELLS."""
+
+    def spell(run):
+        raise AssertionError("a refused enumeration spelled its codes")
+
+    monkeypatch.setattr(matching, "_spell", spell)
+    r = 10**7
+    with pytest.raises(EnumerationLimitError) as info:
+        enumerate_instances(RankedPattern(tuple("cab"), {"c": r, "b": r - 1, "a": 1}))
+    assert info.value.free_components == 3 * r - 6 == 29_999_994
+
+
 def _random_ranked_pattern(rng):
     k = rng.randrange(1, 5)
     pool = "abcd"[:k]
