@@ -143,8 +143,7 @@ def is_unavoidable_by_reduction(pattern, max_free_set_size=None) -> ReductionRes
     trace: list = []
     nodes = 0
 
-    def dfs(p, remaining: int) -> bool:
-        # p is the projection of the pattern onto the remaining variables
+    def dfs(p) -> bool:
         nonlocal nodes
         nodes += 1
         if not p:
@@ -153,8 +152,7 @@ def is_unavoidable_by_reduction(pattern, max_free_set_size=None) -> ReductionRes
         if key in dead:
             return False
         table = _clash_table([bit[s] for s in p])
-        # p's variables in order of first occurrence, as the pattern's are
-        pbits = [b for b in bit.values() if b & remaining]
+        pbits = [bit[v] for v in dict.fromkeys(p)]
         bound = len(pbits) if max_free_set_size is None else min(
             max_free_set_size, len(pbits)
         )
@@ -165,13 +163,13 @@ def is_unavoidable_by_reduction(pattern, max_free_set_size=None) -> ReductionRes
                     continue
                 deleted = frozenset(v for v, b in bit.items() if b & free)
                 trace.append((p, deleted))
-                if dfs(delete_variables(p, deleted), remaining ^ free):
+                if dfs(delete_variables(p, deleted)):
                     return True
                 trace.pop()
         dead.add(key)
         return False
 
-    if dfs(pattern, (1 << len(variables)) - 1):
+    if dfs(pattern):
         return ReductionResult(Verdict.UNAVOIDABLE, tuple(trace), nodes)
     verdict = Verdict.AVOIDABLE if complete else Verdict.INCONCLUSIVE
     return ReductionResult(verdict, (), nodes)

@@ -185,8 +185,8 @@ def test_instance_length_sums_per_occurrence():
     occurrences; the integer equals the per-occurrence sum on every
     canonical and shortest match of both universes, dense and 3r + 5."""
     summed = 0
-    for pattern in chain(small_universe(), seeded_universe()):
-        for pattern in (pattern, gapped(pattern)):
+    for dense in chain(small_universe(), seeded_universe()):
+        for pattern in (dense, gapped(dense)):
             for product_fn in (compressed_embedding, shortest_instance):
                 match = product_fn(pattern, validate=False)
                 if match is None:
