@@ -179,11 +179,12 @@ def cmd_shortest(args) -> int:
     if res is None:
         return 1
     length = instance_length(rp, res.valuation)
-    _emit(
-        args,
-        {"valuation": _valuation_payload(res.valuation), "length": length},
-        _valuation_text(rp, res.valuation) + f"\nlength = {length}",
-    )
+    payload = {"valuation": _valuation_payload(res.valuation), "length": length}
+    try:
+        shown = str(length)
+    except ValueError:  # past int's decimal digit limit; hex is exact at any size
+        shown = payload["length_hex"] = hex(payload.pop("length"))
+    _emit(args, payload, _valuation_text(rp, res.valuation) + f"\nlength = {shown}")
     return 0
 
 

@@ -4,8 +4,11 @@ A factor w of a Zimin word is determined by its record letters: the
 left-to-right maxima followed by the right-to-left maxima.  That
 sequence c(w) is strictly unimodal, has at most 2k - 1 entries when
 max(w) = k, and the gap between consecutive records a, b of w is
-exactly Z_{min(a,b)-1}.  All operations here work on such codes without
-expanding the underlying word unless explicitly asked to.
+exactly Z_{min(a,b)-1}, so a record x spans 2^(x-1) letters with its
+gap: the records before the peak are the binary digits of the peak's
+index, and those after it the digits of the letter count after it.  All
+operations here work on such codes without expanding the underlying
+word unless explicitly asked to.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import NotAFactorError, SizeLimitError
-from .words import Word, first_violation, generate_zimin
+from .words import Word, _scan, generate_zimin
 
 Code = tuple[int, ...]
 
@@ -85,11 +88,17 @@ def _records(seq) -> Code:
 
 
 def compress(word) -> Code:
-    """Compute c(word).  Raises NotAFactorError on non-factors."""
-    violation = first_violation(word)
+    """Compute c(word), read off the binary digits of the peak's index p
+    and of n - 1 - p.  Raises NotAFactorError on non-factors."""
+    violation, p = _scan(word)
     if violation is not None:
         raise NotAFactorError(f"factor condition fails at letter {violation}")
-    return _records(word)
+    if not word:
+        return _records(word)  # (), or a TypeError for a falsy non-sequence
+    q = len(word) - 1 - p
+    up = [x for x in range(1, p.bit_length() + 1) if p >> x - 1 & 1]
+    down = [x for x in range(q.bit_length(), 0, -1) if q >> x - 1 & 1]
+    return (*up, word[p], *down)
 
 
 def decompressed_length(code) -> int:
@@ -137,11 +146,9 @@ def decompress(code, max_letters: int = DEFAULT_MAX_LETTERS) -> Word:
     gaps: dict[int, Word] = {}
     out = [code[0]]
     for a, b in zip(code, code[1:]):
-        m = min(a, b)
-        if m >= 2:
-            if m - 1 not in gaps:
-                gaps[m - 1] = generate_zimin(m - 1)
-            out.extend(gaps[m - 1])
+        m = min(a, b) - 1
+        if m > 0:
+            out.extend(gaps.get(m) or gaps.setdefault(m, generate_zimin(m)))
         out.append(b)
     return tuple(out)
 
@@ -221,19 +228,13 @@ def extend(code) -> list:
     full Z_1; every nonempty gap becomes its ZBlock.
     """
     code = validate_code(code)
-    if not code:
-        return []
-    tokens: list = []
-    for i, x in enumerate(code):
-        if x == 1:
-            # unimodality puts 1 only at the ends, where it spans Z_1
-            tokens.append(ZBlock(1))
-        else:
-            tokens.append(x)
-        if i + 1 < len(code):
-            m = min(x, code[i + 1])
-            if m >= 2:
-                tokens.append(ZBlock(m - 1))
+    blocks, tokens = {}, []  # one block per order
+    for x, y in zip(code, code[1:] + (0,)):
+        # unimodality puts 1 only at the ends, where it spans Z_1
+        tokens.append(x if x > 1 else blocks.get(1) or blocks.setdefault(1, ZBlock(1)))
+        m = (x if x < y else y) - 1
+        if m > 0:
+            tokens.append(blocks.get(m) or blocks.setdefault(m, ZBlock(m)))
     return tokens
 
 
@@ -277,22 +278,19 @@ def reduce_extended(tokens) -> list:
     merge order ends in this same form.  Raises NotAFactorError when the
     spelled word is not a Zimin factor.
     """
-    stack: list = []
+    stack: list = []  # a letter x as x, a block Z_i as -i, so letter 1 as -1
     for tok in tokens:
-        if not isinstance(tok, ZBlock):
-            if tok < 1:
-                raise ValueError("letters must be positive integers")
-            if tok == 1:
-                tok = ZBlock(1)
-        while (
-            isinstance(tok, ZBlock)
-            and len(stack) >= 2
-            and stack[-1] == tok.order + 1
-            and stack[-2] == tok
-        ):
+        if isinstance(tok, ZBlock):
+            t = -tok.order
+        elif tok < 1:
+            raise ValueError("letters must be positive integers")
+        else:
+            t = -1 if tok == 1 else tok
+        while t < 0 and len(stack) >= 2 and stack[-1] == 1 - t and stack[-2] == t:
             del stack[-2:]
-            tok = ZBlock(tok.order + 1)
-        stack.append(tok)
-    if not check_concatenation([token_code(tok) for tok in stack]):
+            t -= 1
+        stack.append(t)
+    if not _joins([block_code(-t) if t < 0 else (t,) for t in stack]):
         raise NotAFactorError("token sequence does not spell a Zimin factor")
-    return stack
+    blocks = {t: ZBlock(-t) for t in set(stack) if t < 0}
+    return [blocks.get(t, t) for t in stack]

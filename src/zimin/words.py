@@ -8,7 +8,8 @@ A word is a factor of some Zimin word iff for every letter j, the
 occurrences of letters >= j sit at alternating positions among
 themselves with j on one fixed parity class.  ``first_violation``
 implements that test by repeated halving, which is linear in the input
-length.
+length.  Level j keeps the odd class iff j fills the even one, so the
+classes kept spell the peak's index in binary, one digit per level.
 """
 
 from __future__ import annotations
@@ -60,12 +61,25 @@ def first_violation(word):
     Level j fails when, among the positions holding letters >= j, the
     letter j itself does not occupy exactly one full parity class.
     """
+    return _scan(word)[0]
+
+
+def _scan(word):
+    """first_violation(word) and the index of the last letter the halving
+    keeps, on a factor its peak.  Letters that all fit a byte are halved
+    as a bytearray, whose counts and slices run in C; iter() keeps an int
+    from being read as a length."""
     if not word:
-        return None
-    if min(word) < 1:
+        return None, 0
+    try:
+        current = bytearray(word if isinstance(word, (tuple, list)) else iter(word))
+        bad = 0 in current
+    except (TypeError, ValueError):
+        current = list(word)
+        bad = min(current) < 1
+    if bad:
         raise ValueError("letters must be positive integers")
-    current = list(word)
-    level = 1
+    level, pos, stride = 1, 0, 1
     while len(current) > 1:
         evens = current[0::2]
         odds = current[1::2]
@@ -73,12 +87,14 @@ def first_violation(word):
         at_odd = odds.count(level)
         if at_even == len(evens) and at_odd == 0:
             current = odds
+            pos += stride
         elif at_odd == len(odds) and at_even == 0:
             current = evens
         else:
-            return level
+            return level, pos
         level += 1
-    return None
+        stride <<= 1
+    return None, pos
 
 
 def is_zimin_factor(word) -> bool:

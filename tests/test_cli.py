@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from zimin import RankedPattern, instance_length, shortest_instance
 from zimin.cli import MAX_RANK_DIGITS, main
 from zimin.matching import MAX_RUN_CELLS
 
@@ -163,6 +164,21 @@ def test_shortest(capsys):
     assert out.endswith("length = 6\n")
     code, payload, _ = run_json(capsys, "shortest", "x", "--ranks", "x=2")
     assert payload == {"format_version": "1", "length": 1, "valuation": {"x": [2]}}
+
+
+def test_shortest_past_the_decimal_digit_limit(capsys):
+    """A length of more than 4,300 decimal digits is printed in exact hex."""
+    args = ("shortest", "cab", "--ranks", "c=20000,b=19999,a=1")
+    rp = RankedPattern(tuple("cab"), {"c": 20000, "b": 19999, "a": 1})
+    length = instance_length(rp, shortest_instance(rp).valuation)
+    assert length.bit_length() > 19000
+    code, payload, _ = run_json(capsys, *args)
+    assert code == 0
+    assert "length" not in payload
+    assert int(payload["length_hex"], 16) == length
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert out.endswith(f"length = {hex(length)}\n")
 
 
 def test_count(capsys):

@@ -24,7 +24,10 @@ from zimin import (
     reduce_extended,
     token_code,
 )
-from zimin.compressed import MAX_EXPONENT
+import zimin.compressed
+import zimin.words
+from zimin.compressed import MAX_EXPONENT, _records
+from zimin.words import _scan
 
 
 def test_compress_zimin_words():
@@ -50,6 +53,40 @@ def test_compress_preserves_ends():
         code = compress(word)
         assert code[0] == word[0]
         assert code[-1] == word[-1]
+
+
+def _check_compress(word):
+    code = compress(word)
+    assert code == _records(word), word
+    assert decompress(code) == word
+    assert _scan(word)[1] == word.index(max(word))
+
+
+def test_compress_reads_records_off_the_peak_index_z8():
+    z = generate_zimin(8)
+    for i in range(len(z)):
+        for j in range(i + 1, len(z) + 1):
+            _check_compress(z[i:j])
+
+
+def test_compress_reads_records_off_the_peak_index_long_windows():
+    rng = random.Random(17)
+    z = generate_zimin(17)
+    for _ in range(2000):
+        # log-uniform lengths up to 2^16
+        length = rng.randrange(1, (1 << rng.randrange(1, 17)) + 1)
+        start = rng.randrange(len(z) - length + 1)
+        _check_compress(z[start : start + length])
+
+
+def test_compress_letters_past_a_byte():
+    assert compress((1, 300)) == (1, 300)
+    assert compress((300,)) == (300,)
+    assert compress([1, 2, 1, 300, 1, 2, 1]) == (1, 2, 300, 2, 1)
+    assert compress((2, 1, 400, 1)) == (2, 400, 1)
+    assert _scan((1, 2, 1, 300, 1))[1] == 3
+    with pytest.raises(NotAFactorError):
+        compress((300, 1, 300))
 
 
 def test_compress_rejects_non_factor():
@@ -279,6 +316,60 @@ def test_extend_expands_to_original_word():
         j = rng.randrange(i + 1, len(z6) + 1)
         code = compress(z6[i:j])
         assert expand_tokens(extend(code)) == z6[i:j]
+
+
+def reference_extend(code):
+    """extend as it ran before blocks were shared: a new ZBlock per token."""
+    tokens = []
+    for i, x in enumerate(code):
+        tokens.append(ZBlock(1) if x == 1 else x)
+        if i + 1 < len(code) and min(x, code[i + 1]) >= 2:
+            tokens.append(ZBlock(min(x, code[i + 1]) - 1))
+    return tokens
+
+
+def _fresh(tokens):
+    return [ZBlock(t.order) if isinstance(t, ZBlock) else t for t in tokens]
+
+
+def test_extend_and_reduce_equal_fresh_blocks():
+    z6 = generate_zimin(6)
+    for i in range(len(z6)):
+        for j in range(i + 1, len(z6) + 1):
+            code = compress(z6[i:j])
+            tokens = extend(code)
+            assert tokens == reference_extend(code) == _fresh(tokens)
+            assert [type(t) for t in tokens] == [type(t) for t in reference_extend(code)]
+            reduced = reduce_extended(tokens)
+            assert reduced == _fresh(reduced)
+            assert all(type(t) in (int, ZBlock) for t in reduced)
+    for tokens in _z4_splits():
+        reduced = reduce_extended(tokens)
+        assert reduced == _fresh(reduce_extended(_fresh(tokens)))
+
+
+def test_reduce_extended_accepts_caller_blocks_and_letters():
+    assert reduce_extended([ZBlock(2), 3, 1, 2, 1]) == [ZBlock(3)]
+    assert reduce_extended([1, 2, ZBlock(1), 3, ZBlock(2)]) == [ZBlock(3)]
+    assert reduce_extended([2, ZBlock(1), 4, ZBlock(3)]) == [2, ZBlock(1), 4, ZBlock(3)]
+    assert reduce_extended([1]) == [ZBlock(1)]
+    assert reduce_extended([ZBlock(1), 2, 1, 3, ZBlock(2), 4, ZBlock(3)]) == [ZBlock(4)]
+    with pytest.raises(ValueError):
+        reduce_extended([ZBlock(1), 0])
+    with pytest.raises(NotAFactorError):
+        reduce_extended([ZBlock(2), 2])
+
+
+def test_code_layers_keep_no_module_level_state():
+    """The README promises no mutable global state: no dict, list or set
+    sits at module level, so no memo outlives a call."""
+    state = [
+        (module.__name__, name)
+        for module in (zimin.words, zimin.compressed)
+        for name, value in vars(module).items()
+        if isinstance(value, (dict, list, set, bytearray)) and not name.startswith("__")
+    ]
+    assert state == []
 
 
 def test_reduce_extended_worked_chain():

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+import tracemalloc
+
 import pytest
 
 from zimin import (
@@ -12,6 +15,7 @@ from zimin import (
     parse_word,
     project,
 )
+from zimin.words import _scan
 
 # Z_1 .. Z_4, written out once so nothing below depends on the generator.
 Z1 = (1,)
@@ -142,3 +146,90 @@ def test_format_word_round_trip():
     # the one ambiguous corner: a lone zero-free letter >= 10 reads as
     # compact digits, by design
     assert parse_word("12") == (1, 2)
+
+
+def reference_first_violation(word):
+    """The halving loop on a list, as it ran before the byte path."""
+    if not word:
+        return None
+    if min(word) < 1:
+        raise ValueError("letters must be positive integers")
+    current = list(word)
+    level = 1
+    while len(current) > 1:
+        evens, odds = current[0::2], current[1::2]
+        at_even, at_odd = evens.count(level), odds.count(level)
+        if at_even == len(evens) and at_odd == 0:
+            current = odds
+        elif at_odd == len(odds) and at_even == 0:
+            current = evens
+        else:
+            return level
+        level += 1
+    return None
+
+
+def _outcome(fn, word):
+    try:
+        return fn(word)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+def test_byte_and_list_paths_agree():
+    """Letters of one byte take the bytearray path, a letter >= 256 the
+    list path; both give the reference's level and the same peak index."""
+    rng = random.Random(3)
+    z = generate_zimin(9)
+    for _ in range(3000):
+        i = rng.randrange(len(z))
+        word = list(z[i : i + rng.randrange(1, 70)])
+        if rng.random() < 0.5:
+            word[rng.randrange(len(word))] = rng.randrange(1, 12)
+        raised = list(word)
+        raised[word.index(max(word))] += 256
+        for w in (tuple(word), tuple(raised)):
+            assert first_violation(w) == reference_first_violation(w), w
+        # raising the unique peak changes neither the verdict nor the peak
+        if word.count(max(word)) == 1:
+            assert _scan(word) == _scan(raised)
+        # a letter >= 256 that is not the peak
+        word[rng.randrange(len(word))] = 256 + rng.randrange(3)
+        assert first_violation(word) == reference_first_violation(word), word
+
+
+def test_bad_letters_raise_value_error_on_both_paths():
+    for word in [(0,), (-1,), (1, 0), (1, -1), (300, 0), (300, -1), (0, 300), [2, 1, 0]]:
+        with pytest.raises(ValueError, match="positive"):
+            first_violation(word)
+
+
+def test_int_argument_raises_type_error_without_allocating():
+    tracemalloc.start()
+    try:
+        for value in (5, 10**12):
+            with pytest.raises(TypeError):
+                first_violation(value)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+def test_non_int_sequences_behave_as_before():
+    cases = [
+        "121",
+        "1",
+        (1, 2.0, 1),
+        (1.0, 1.0),
+        (True, 2, True),
+        b"\x01\x02\x01",
+        bytearray(b"\x01\x02\x02"),
+        range(1, 4),
+        [1, "2", 1],
+        ("a", "b"),
+        (1, None),
+        (1, 2.5, 300),
+    ]
+    for word in cases:
+        assert _outcome(first_violation, word) == _outcome(reference_first_violation, word), word
