@@ -9,12 +9,18 @@ gap: the records before the peak are the binary digits of the peak's
 index, and those after it the digits of the letter count after it.  All
 operations here work on such codes without expanding the underlying
 word unless explicitly asked to.
+
+A concatenation is decided by a left fold over each part's peak and two
+side masks, bit x for each letter x of a side, the peak included: where
+peaks a and b meet, bits 1..min(a, b) of the left end mask XOR the right
+start mask must all be set.  No bit above the parts' total letter count
+is read, so a huge letter builds no huge mask (see check_concatenation).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import NotAFactorError, SizeLimitError
 from .words import Word, _scan, generate_zimin
@@ -39,23 +45,31 @@ def power_of_two(x: int) -> int:
 def is_unimodal(seq) -> bool:
     """True iff ``seq`` strictly increases to a unique maximum and then
     strictly decreases.  Singletons and the empty sequence qualify."""
-    if not seq:
-        return True
-    top = seq.index(max(seq))
-    for i in range(top):
-        if seq[i] >= seq[i + 1]:
+    items = iter(seq)
+    for prev in items:
+        for x in items:
+            if x <= prev:
+                break
+            prev = x
+        else:
+            return True
+        if not x < prev:
             return False
-    for i in range(top, len(seq) - 1):
-        if seq[i] <= seq[i + 1]:
-            return False
+        prev = x
+        for x in items:
+            if not x < prev:
+                return False
+            prev = x
     return True
 
 
 def validate_code(code) -> Code:
     code = tuple(code)
-    if code and min(code) < 1:
+    unimodal = is_unimodal(code)
+    # the least letter of a strictly unimodal sequence is at one end
+    if code and min(code if not unimodal else (code[0], code[-1])) < 1:
         raise ValueError("code letters must be positive integers")
-    if not is_unimodal(code):
+    if not unimodal:
         raise ValueError(f"not a strictly unimodal sequence: {code}")
     return code
 
@@ -94,7 +108,7 @@ def compress(word) -> Code:
     if violation is not None:
         raise NotAFactorError(f"factor condition fails at letter {violation}")
     if not word:
-        return _records(word)  # (), or a TypeError for a falsy non-sequence
+        return ()
     q = len(word) - 1 - p
     up = [x for x in range(1, p.bit_length() + 1) if p >> x - 1 & 1]
     down = [x for x in range(q.bit_length(), 0, -1) if q >> x - 1 & 1]
@@ -122,13 +136,17 @@ def decompressed_length(code) -> int:
         raise SizeLimitError(
             f"a gap of 2^{top - 1} - 1 letters is past the exponent cap {MAX_EXPONENT}"
         )
-    total = 1
-    for side in (up, down):
-        bits = bytearray(top + 7 >> 3)
-        for x in side:
-            bits[x - 1 >> 3] |= 1 << (x - 1 & 7)
-        total += int.from_bytes(bits, "little")
-    return total
+    return 1 + (_bits(up, top) + _bits(down, top) >> 1)
+
+
+def _bits(letters, top: int) -> int:
+    """Sum of 2**x over the distinct letters x <= top, in time linear in
+    their count plus top divided by the word size."""
+    bits = bytearray((top >> 3) + 1)
+    for x in letters:
+        if x <= top:
+            bits[x >> 3] |= 1 << (x & 7)
+    return int.from_bytes(bits, "little")
 
 
 def decompress(code, max_letters: int = DEFAULT_MAX_LETTERS) -> Word:
@@ -159,39 +177,82 @@ def check_concatenation(parts) -> bool:
 
     Round j removes letter j from every part boundary; the concatenation
     is a factor iff every junction carries exactly one j at its two
-    facing ends in every round until a single part remains.  Runs in
-    time linear in the total code length.
+    facing ends in every round until a single part remains.  The fold
+    keeps the peak a and end mask of the parts so far; a part with a
+    smaller peak b replaces its bits 1..b.  A round needs a letter at a
+    junction, so past a cap of the letter count min(a, b) fails at once.
+    Parts are validated in order.  Runs in time linear in the letters
+    plus the peaks, up to the cap, divided by the word size.
     """
-    return _joins([validate_code(p) for p in parts])
+    return _concatenates([tuple(part) for part in parts])
 
 
-def _joins(codes) -> bool:
-    """check_concatenation on codes that are already validated."""
-    active = [deque(code) for code in codes if code]
-    level = 1
-    while len(active) > 1:
-        for left, right in zip(active, active[1:]):
-            if (left[-1] == level) == (right[0] == level):
-                return False
-        for rep in active:
-            if rep[-1] == level:
-                rep.pop()
-            if rep and rep[0] == level:
-                rep.popleft()
-        active = [rep for rep in active if rep]
-        level += 1
+def _concatenates(codes: list) -> bool:
+    """check_concatenation on the parts as tuples."""
+    cap, rest = sum(map(len, codes)), iter(codes)
+    ok = _fold(map(_walk, rest, repeat(cap)), cap)
+    for code in rest:  # validate the parts after a failing junction
+        _walk(code, 0)
+    return ok
+
+
+def _walk(code: Code, cap: int):
+    """(peak, start mask, end mask) of a code in one forward pass that
+    validates it as validate_code does; a peak of 64 or more takes _bits,
+    for linear time and no bit above ``cap``."""
+    start = prev = 0
+    items = iter(code)
+    for x in items:
+        if x <= prev:
+            break
+        if x >= 64:
+            validate_code(code)
+            if not all(isinstance(x, int) for x in code):
+                raise TypeError(f"code letters must be integers: {code}")
+            i, top = code.index(peak := max(code)), min(peak, cap)
+            return peak, _bits(code[: i + 1], top), _bits(code[i:], top)
+        start |= 1 << x
+        prev = x
+    else:
+        return prev, start, start and 1 << prev
+    peak = prev
+    if not 0 < x < prev:
+        validate_code(code)  # rejects the code, with its own error
+    end = 1 << prev | 1 << x
+    prev = x
+    for x in items:
+        if not 0 < x < prev:
+            validate_code(code)
+        end |= 1 << x
+        prev = x
+    return peak, start, end
+
+
+def _fold(sides, cap: int) -> bool:
+    """Left fold of (peak, start mask, end mask) triples: True iff every
+    junction passes, reading no mask bit above ``cap``."""
+    a = end = 0
+    for b, start_b, end_b in sides:
+        m = a if a < b else b
+        if m > cap or (end ^ start_b) & (need := (2 << m) - 2) != need:
+            return False
+        if a > b:
+            end = end & -(2 << b) | end_b
+        else:
+            a, end = b, end_b
     return True
 
 
 def compose(parts) -> Code:
     """Code of the concatenation, or NotAFactorError if it is not a factor.
 
-    Records of the whole word are found among the parts' records, so
-    scanning the flattened codes for running maxima suffices; the word
+    check_concatenation's fold decides it, at its cost; records of the
+    whole word are found among the parts' records, so scanning the
+    flattened codes for running maxima gives the code and the word
     itself is never expanded.
     """
-    codes = [validate_code(p) for p in parts]
-    if not _joins(codes):
+    codes = [tuple(part) for part in parts]
+    if not _concatenates(codes):
         raise NotAFactorError("concatenation is not a Zimin factor")
     return _records([x for code in codes for x in code])
 
@@ -290,7 +351,10 @@ def reduce_extended(tokens) -> list:
             del stack[-2:]
             t -= 1
         stack.append(t)
-    if not _joins([block_code(-t) if t < 0 else (t,) for t in stack]):
+    # Z_i has bits 1..i; no junction reads a bit above the second peak
+    cap = ([0, 0] + sorted(map(abs, stack)))[-2]
+    bits = [(2 << min(-t, cap)) - 2 if t < 0 else 1 << t if t <= cap else 0 for t in stack]
+    if not _fold(zip(map(abs, stack), bits, bits), cap):
         raise NotAFactorError("token sequence does not spell a Zimin factor")
     blocks = {t: ZBlock(-t) for t in set(stack) if t < 0}
     return [blocks.get(t, t) for t in stack]

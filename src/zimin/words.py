@@ -68,9 +68,7 @@ def _scan(word):
     """first_violation(word) and the index of the last letter the halving
     keeps, on a factor its peak.  Letters that all fit a byte are halved
     as a bytearray, whose counts and slices run in C; iter() keeps an int
-    from being read as a length."""
-    if not word:
-        return None, 0
+    from being read as a length, and raises TypeError on any non-iterable."""
     try:
         current = bytearray(word if isinstance(word, (tuple, list)) else iter(word))
         bad = 0 in current

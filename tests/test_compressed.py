@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 import random
-from collections import Counter
+import tracemalloc
+from collections import Counter, deque
 from itertools import chain, combinations, product
 
 import pytest
@@ -19,10 +20,12 @@ from zimin import (
     expand_tokens,
     extend,
     generate_zimin,
+    is_unimodal,
     is_valid_code,
     is_zimin_factor,
     reduce_extended,
     token_code,
+    validate_code,
 )
 import zimin.compressed
 import zimin.words
@@ -480,7 +483,7 @@ def reference_reduce_extended(tokens) -> list:
             merged[node] = lt + [tok] + rt
     result = merged[root]
 
-    if not check_concatenation([token_code(tok) for tok in result]):
+    if not reference_joins([token_code(tok) for tok in result]):
         raise NotAFactorError("token sequence does not spell a Zimin factor")
     return result
 
@@ -549,3 +552,260 @@ def test_zblock_basics():
     assert ZBlock(2) != ZBlock(3)
     with pytest.raises(ValueError):
         ZBlock(0)
+
+
+def reference_is_unimodal(seq) -> bool:
+    """is_unimodal as it ran before the one forward pass."""
+    if not seq:
+        return True
+    top = seq.index(max(seq))
+    for i in range(top):
+        if seq[i] >= seq[i + 1]:
+            return False
+    for i in range(top, len(seq) - 1):
+        if seq[i] <= seq[i + 1]:
+            return False
+    return True
+
+
+def reference_validate_code(code):
+    code = tuple(code)
+    if code and min(code) < 1:
+        raise ValueError("code letters must be positive integers")
+    if not reference_is_unimodal(code):
+        raise ValueError(f"not a strictly unimodal sequence: {code}")
+    return code
+
+
+# the level-by-level _joins that check_concatenation ran before the fold
+def reference_joins(codes) -> bool:
+    """check_concatenation on codes that are already validated."""
+    active = [deque(code) for code in codes if code]
+    level = 1
+    while len(active) > 1:
+        for left, right in zip(active, active[1:]):
+            if (left[-1] == level) == (right[0] == level):
+                return False
+        for rep in active:
+            if rep[-1] == level:
+                rep.pop()
+            if rep and rep[0] == level:
+                rep.popleft()
+        active = [rep for rep in active if rep]
+        level += 1
+    return True
+
+
+def reference_check_concatenation(parts) -> bool:
+    """check_concatenation as it ran before the bitmask fold."""
+    return reference_joins([reference_validate_code(p) for p in parts])
+
+
+def reference_compose(parts):
+    codes = [reference_validate_code(p) for p in parts]
+    if not reference_joins(codes):
+        raise NotAFactorError("concatenation is not a Zimin factor")
+    return _records([x for code in codes for x in code])
+
+
+def _concat_outcome(fn, parts):
+    try:
+        return fn(parts)
+    except (ValueError, TypeError, NotAFactorError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_concat_matches_reference(parts):
+    got = _concat_outcome(check_concatenation, parts)
+    assert got == _concat_outcome(reference_check_concatenation, parts), parts
+    assert _concat_outcome(compose, parts) == _concat_outcome(reference_compose, parts), parts
+    return got
+
+
+def _codes_up_to(top):
+    """Every nonempty strictly unimodal code with letters <= top."""
+    codes = []
+    for peak in range(1, top + 1):
+        below = range(1, peak)
+        for up in chain.from_iterable(combinations(below, k) for k in range(peak)):
+            for down in chain.from_iterable(combinations(below, k) for k in range(peak)):
+                codes.append(up + (peak,) + down[::-1])
+    return codes
+
+
+def test_concatenation_fold_equals_reference_on_all_pairs():
+    codes = _codes_up_to(5)
+    assert len(codes) == 341
+    outcomes = Counter(
+        _assert_concat_matches_reference([left, right]) for left in codes for right in codes
+    )
+    assert sum(outcomes.values()) == 341**2
+    assert 0 < outcomes[True] < outcomes[False]
+
+
+def _random_part(rng, codes):
+    """A valid code most of the time, else an empty, bool or invalid part."""
+    roll = rng.random()
+    if roll < 0.8:
+        return rng.choice(codes)
+    if roll < 0.85:
+        return ()
+    if roll < 0.9:
+        return tuple(True if x == 1 else x for x in rng.choice(codes))
+    return tuple(rng.randrange(-1, 7) for _ in range(rng.randrange(1, 5)))
+
+
+def test_concatenation_fold_equals_reference_on_random_tuples():
+    rng = random.Random(29)
+    codes = _codes_up_to(6)
+    outcomes = Counter()
+    for _ in range(200_000):
+        parts = tuple(_random_part(rng, codes) for _ in range(rng.randrange(2, 5)))
+        got = _assert_concat_matches_reference(parts)
+        outcomes[got if isinstance(got, bool) else got[0]] += 1
+    assert set(outcomes) == {True, False, ValueError}
+
+
+def test_concatenation_fold_equals_reference_on_split_windows():
+    """Splits of Z_12 windows compose back; a duplicated, dropped or
+    shuffled part mostly does not."""
+    rng = random.Random(31)
+    z = generate_zimin(12)
+    outcomes = Counter()
+    for _ in range(1500):
+        start = rng.randrange(len(z))
+        word = z[start : start + rng.randrange(1, 400)]
+        cuts = sorted(rng.sample(range(1, len(word) + 1), min(len(word), rng.randrange(1, 12))))
+        bounds = [0] + cuts + ([len(word)] if cuts[-1] != len(word) else [])
+        parts = [compress(word[a:b]) for a, b in zip(bounds, bounds[1:])]
+        assert _assert_concat_matches_reference(parts) is True
+        assert compose(parts) == compress(word)
+        i = rng.randrange(len(parts))
+        changed = [
+            parts[: i + 1] + parts[i:],
+            parts[:i] + parts[i + 1 :],
+            rng.sample(parts, len(parts)),
+        ]
+        for other in changed:
+            outcomes[_assert_concat_matches_reference(other)] += 1
+    assert outcomes[True] and outcomes[False]
+
+
+def test_concatenation_fold_empty_parts_and_bool_letters():
+    cases = [
+        [(), ()],
+        [(), (1,), ()],
+        [(1, 2), (), (1,)],
+        [(True,), (2, True)],
+        [(True, 2), (True,)],
+        [(True,), (True,)],
+        [(2, True), [], (3,)],
+        [[1, 3], [2], (1,)],
+        [],
+        [()],
+    ]
+    for parts in cases:
+        _assert_concat_matches_reference(parts)
+    assert compose([(True,), (2, True)]) == (True, 2, True)
+    # any iterable is a part, read once
+    assert compose([[1, 3], iter([1]), (2,)]) == (1, 3, 2)
+    assert not check_concatenation([[1, 3], iter([2]), (1,)])
+
+
+def test_concatenation_fold_invalid_part_at_every_position():
+    """The first bad part, in order, raises validate_code's own message,
+    also when a later part is bad too or the junctions already fail."""
+    valid = [(1, 3, 2), (1,), (2, 4, 1), (1, 2), (3,)]
+    bad = [
+        (1, 3, 0),
+        (1, 3, 2, -1),
+        (2, 5, 0, 1),
+        (0,),
+        (-4,),
+        (1, 2, 2),
+        (2, 1, 3),
+        (1, 3, 1, 3),
+        (3, 4, 0, 5),
+        (5, 4, 4, 0),
+        (100, 101, 99, 100),
+        (70, 0),
+    ]
+    for part in bad:
+        with pytest.raises(ValueError) as info:
+            validate_code(part)
+        with pytest.raises(ValueError) as ref:
+            reference_validate_code(part)
+        assert str(info.value) == str(ref.value)
+        for at in range(len(valid) + 1):
+            parts = valid[:at] + [part] + valid[at:]
+            got = _assert_concat_matches_reference(parts)
+            assert got == (ValueError, str(ref.value)), parts
+            _assert_concat_matches_reference(parts + [(0, 1)])
+
+
+def test_concatenation_fold_huge_letters_build_no_huge_mask():
+    cases = {
+        ((10**18,), (1,)): True,
+        ((1, 10**18), (1,)): True,
+        ((10**18 + 1,), (10**18,)): False,
+        ((10**18,), (10**18,)): False,
+        ((3, 10**18, 2), (1,)): True,
+        ((1,), (10**18,), (1,)): True,
+        ((1,), (10**18,), (2,)): False,
+        ((2,), (1,), (10**18,), (1,), (2,)): True,
+    }
+    tracemalloc.start()
+    try:
+        for parts, ok in cases.items():
+            assert _assert_concat_matches_reference(list(parts)) is ok, parts
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_concatenation_fold_long_codes_against_reference():
+    """Peaks past the walked-mask width take the bytearray path."""
+    rng = random.Random(37)
+    for _ in range(200):
+        top = rng.randrange(60, 200)
+        up = sorted(rng.sample(range(1, top), rng.randrange(0, top)))
+        down = sorted(rng.sample(range(1, top), rng.randrange(0, top)), reverse=True)
+        code = tuple(up) + (top,) + tuple(down)
+        i = rng.randrange(len(code) + 1)
+        for parts in ([code[:i], code[i:]], [code, code[-1:]], [code[:1], code], [code, (1,)]):
+            _assert_concat_matches_reference(parts)
+
+
+def test_concatenation_float_letters_raise_type_error():
+    """Floats were compared as numbers; as mask bits they are refused."""
+    for parts in ([(1.5,)], [(2.0,), (1,)], [(1,), (1, 2.0)], [(1, 100.0)], [(100.0, 2)]):
+        with pytest.raises(TypeError):
+            check_concatenation(parts)
+        with pytest.raises(TypeError):
+            compose(parts)
+    # a bad part before the float still raises its ValueError, and a
+    # float after a failing junction is still refused
+    with pytest.raises(ValueError, match="positive"):
+        check_concatenation([(0,), (1.5,)])
+    for late in [(1.5,), (1, 100.0)]:
+        with pytest.raises(TypeError):
+            check_concatenation([(1,), (1,), late])
+
+
+def test_one_pass_is_unimodal_equals_reference():
+    rng = random.Random(41)
+    seqs = [(), (5,), (-3,), (0, 0), "abc", "aba", "aab", (1, 2, 1), (2, 2), [-5, -1, -3]]
+    for _ in range(20_000):
+        seqs.append(tuple(rng.randrange(-2, 6) for _ in range(rng.randrange(0, 7))))
+    for seq in seqs:
+        assert is_unimodal(seq) == reference_is_unimodal(seq), seq
+        assert _concat_outcome(validate_code, seq) == _concat_outcome(reference_validate_code, seq)
+
+
+def test_reduce_extended_huge_blocks_and_letters():
+    assert reduce_extended([ZBlock(10**18)]) == [ZBlock(10**18)]
+    assert reduce_extended([1, 10**18]) == [ZBlock(1), 10**18]
+    assert reduce_extended([ZBlock(3), 10**18, ZBlock(3)]) == [ZBlock(3), 10**18, ZBlock(3)]
+    with pytest.raises(NotAFactorError):
+        reduce_extended([ZBlock(10**18), 1])

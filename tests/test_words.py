@@ -8,6 +8,7 @@ import pytest
 from zimin import (
     SizeLimitError,
     apply_mu,
+    compress,
     first_violation,
     format_word,
     generate_zimin,
@@ -233,3 +234,17 @@ def test_non_int_sequences_behave_as_before():
     ]
     for word in cases:
         assert _outcome(first_violation, word) == _outcome(reference_first_violation, word), word
+
+
+def test_falsy_non_iterables_raise_type_error():
+    """Only an empty iterable is the empty word; 0, None and False were
+    once read as it."""
+    for value in (0, None, False, 5):
+        for fn in (first_violation, is_zimin_factor, compress):
+            with pytest.raises(TypeError):
+                fn(value)
+    for empty in ((), [], range(0), b"", ""):
+        assert first_violation(empty) is None
+        assert is_zimin_factor(empty)
+        assert _scan(empty) == (None, 0)
+        assert compress(empty) == ()
