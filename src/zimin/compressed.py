@@ -10,11 +10,8 @@ index, and those after it the digits of the letter count after it.  All
 operations here work on such codes without expanding the underlying
 word unless explicitly asked to.
 
-A concatenation is decided by a left fold over each part's peak and two
-side masks, bit x for each letter x of a side, the peak included: where
-peaks a and b meet, bits 1..min(a, b) of the left end mask XOR the right
-start mask must all be set.  No bit above the parts' total letter count
-is read, so a huge letter builds no huge mask (see check_concatenation).
+Concatenations are decided by a left fold over each part's peak and the
+bit masks of its two sides (check_concatenation).
 """
 
 from __future__ import annotations
@@ -45,31 +42,22 @@ def power_of_two(x: int) -> int:
 def is_unimodal(seq) -> bool:
     """True iff ``seq`` strictly increases to a unique maximum and then
     strictly decreases.  Singletons and the empty sequence qualify."""
-    items = iter(seq)
+    rising, items = True, iter(seq)
     for prev in items:
         for x in items:
-            if x <= prev:
-                break
-            prev = x
-        else:
-            return True
-        if not x < prev:
-            return False
-        prev = x
-        for x in items:
-            if not x < prev:
-                return False
+            if not (prev < x if rising else x < prev):
+                if not (rising and x < prev):
+                    return False
+                rising = False
             prev = x
     return True
 
 
 def validate_code(code) -> Code:
     code = tuple(code)
-    unimodal = is_unimodal(code)
-    # the least letter of a strictly unimodal sequence is at one end
-    if code and min(code if not unimodal else (code[0], code[-1])) < 1:
+    if code and min(code) < 1:
         raise ValueError("code letters must be positive integers")
-    if not unimodal:
+    if not is_unimodal(code):
         raise ValueError(f"not a strictly unimodal sequence: {code}")
     return code
 
@@ -140,8 +128,7 @@ def decompressed_length(code) -> int:
 
 
 def _bits(letters, top: int) -> int:
-    """Sum of 2**x over the distinct letters x <= top, in time linear in
-    their count plus top divided by the word size."""
+    """Sum of 2**x over distinct letters x <= top, in linear time."""
     bits = bytearray((top >> 3) + 1)
     for x in letters:
         if x <= top:
@@ -177,82 +164,58 @@ def check_concatenation(parts) -> bool:
 
     Round j removes letter j from every part boundary; the concatenation
     is a factor iff every junction carries exactly one j at its two
-    facing ends in every round until a single part remains.  The fold
-    keeps the peak a and end mask of the parts so far; a part with a
-    smaller peak b replaces its bits 1..b.  A round needs a letter at a
-    junction, so past a cap of the letter count min(a, b) fails at once.
-    Parts are validated in order.  Runs in time linear in the letters
-    plus the peaks, up to the cap, divided by the word size.
+    facing ends in every round until a single part remains: bits
+    1..min(a, b) of the parts so far's end mask (peak a) XOR the next
+    part's start mask (peak b) must all be set, and min(a, b) past a cap
+    of the letter count fails unread.  Linear in the letters plus the
+    peaks divided by the word size.
     """
-    return _concatenates([tuple(part) for part in parts])
-
-
-def _concatenates(codes: list) -> bool:
-    """check_concatenation on the parts as tuples."""
-    cap, rest = sum(map(len, codes)), iter(codes)
-    ok = _fold(map(_walk, rest, repeat(cap)), cap)
-    for code in rest:  # validate the parts after a failing junction
-        _walk(code, 0)
-    return ok
+    codes = [tuple(part) for part in parts]
+    cap = sum(map(len, codes))
+    walks = map(_walk, codes, repeat(cap))
+    return _fold(walks, cap) & all(walks)  # all() validates the parts left
 
 
 def _walk(code: Code, cap: int):
-    """(peak, start mask, end mask) of a code in one forward pass that
-    validates it as validate_code does; a peak of 64 or more takes _bits,
-    for linear time and no bit above ``cap``."""
-    start = prev = 0
-    items = iter(code)
-    for x in items:
-        if x <= prev:
-            break
-        if x >= 64:
-            validate_code(code)
-            if not all(isinstance(x, int) for x in code):
-                raise TypeError(f"code letters must be integers: {code}")
-            i, top = code.index(peak := max(code)), min(peak, cap)
-            return peak, _bits(code[: i + 1], top), _bits(code[i:], top)
-        start |= 1 << x
-        prev = x
-    else:
-        return prev, start, start and 1 << prev
-    peak = prev
-    if not 0 < x < prev:
-        validate_code(code)  # rejects the code, with its own error
-    end = 1 << prev | 1 << x
-    prev = x
-    for x in items:
-        if not 0 < x < prev:
-            validate_code(code)
-        end |= 1 << x
+    """(peak, start mask, end mask) of a code, validated as validate_code
+    does, in one pass; from a letter past ``cap`` or 4096 on, _bits sets
+    the bits, none above ``cap``, in linear time where shifts are quadratic."""
+    start = end = peak = prev = 0
+    for x in code:
+        if x > peak and prev == peak:
+            if x > cap or x > 4096:
+                rest = code[code.index(x) :]
+                if not is_unimodal(rest) or rest[-1] < 1:
+                    validate_code(code)
+                i, top = rest.index(peak := max(rest)), min(peak, cap)
+                return peak, start | _bits(rest[: i + 1], top), _bits(rest[i:], top)
+            start |= (end := 1 << x)
+            peak = x
+        elif 0 < x < prev:
+            end |= 1 << x
+        else:
+            validate_code(code)  # rejects the code, with its own error
         prev = x
     return peak, start, end
 
 
 def _fold(sides, cap: int) -> bool:
-    """Left fold of (peak, start mask, end mask) triples: True iff every
-    junction passes, reading no mask bit above ``cap``."""
+    """True iff every junction of the (peak, start, end mask) triples passes."""
     a = end = 0
     for b, start_b, end_b in sides:
         m = a if a < b else b
         if m > cap or (end ^ start_b) & (need := (2 << m) - 2) != need:
             return False
-        if a > b:
-            end = end & -(2 << b) | end_b
-        else:
-            a, end = b, end_b
+        a, end = (a if a > b else b), end & -(2 << m) | end_b
     return True
 
 
 def compose(parts) -> Code:
-    """Code of the concatenation, or NotAFactorError if it is not a factor.
-
-    check_concatenation's fold decides it, at its cost; records of the
-    whole word are found among the parts' records, so scanning the
-    flattened codes for running maxima gives the code and the word
-    itself is never expanded.
-    """
+    """Code of the concatenation, or NotAFactorError if it is not a factor,
+    decided by check_concatenation at its cost; the records of the whole
+    word are among the parts' records, so no word is expanded."""
     codes = [tuple(part) for part in parts]
-    if not _concatenates(codes):
+    if not check_concatenation(codes):
         raise NotAFactorError("concatenation is not a Zimin factor")
     return _records([x for code in codes for x in code])
 
@@ -351,10 +314,10 @@ def reduce_extended(tokens) -> list:
             del stack[-2:]
             t -= 1
         stack.append(t)
-    # Z_i has bits 1..i; no junction reads a bit above the second peak
-    cap = ([0, 0] + sorted(map(abs, stack)))[-2]
-    bits = [(2 << min(-t, cap)) - 2 if t < 0 else 1 << t if t <= cap else 0 for t in stack]
-    if not _fold(zip(map(abs, stack), bits, bits), cap):
+    # junctions read no bit past the second peak or past the bits the tokens supply
+    cap = min(([0, 0] + sorted(map(abs, stack)))[-2], sum(-t if t < 0 else 1 for t in stack))
+    bits = ((2 << min(-t, cap)) - 2 if t < 0 else 1 << t if t <= cap else 0 for t in stack)
+    if not _fold(((abs(t), m, m) for t, m in zip(stack, bits)), cap):
         raise NotAFactorError("token sequence does not spell a Zimin factor")
     blocks = {t: ZBlock(-t) for t in set(stack) if t < 0}
     return [blocks.get(t, t) for t in stack]

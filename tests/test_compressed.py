@@ -729,6 +729,9 @@ def test_concatenation_fold_invalid_part_at_every_position():
         (5, 4, 4, 0),
         (100, 101, 99, 100),
         (70, 0),
+        (2, 1, 5000),
+        (1, 5000, 4999, 5000),
+        (3, 5000, 0),
     ]
     for part in bad:
         with pytest.raises(ValueError) as info:
@@ -741,6 +744,15 @@ def test_concatenation_fold_invalid_part_at_every_position():
             got = _assert_concat_matches_reference(parts)
             assert got == (ValueError, str(ref.value)), parts
             _assert_concat_matches_reference(parts + [(0, 1)])
+    # every part is made a tuple before any is validated, so a part that is
+    # not iterable raises first: the deque fold raised the ValueError
+    for parts in ([(0,), 5], [(1,), (0,), None]):
+        with pytest.raises(TypeError, match="not iterable"):
+            check_concatenation(parts)
+        with pytest.raises(TypeError, match="not iterable"):
+            compose(parts)
+        with pytest.raises(ValueError, match="positive"):
+            reference_check_concatenation(parts)
 
 
 def test_concatenation_fold_huge_letters_build_no_huge_mask():
@@ -765,10 +777,10 @@ def test_concatenation_fold_huge_letters_build_no_huge_mask():
 
 
 def test_concatenation_fold_long_codes_against_reference():
-    """Peaks past the walked-mask width take the bytearray path."""
+    """Peaks past the letter count, or past 4096, take the bytearray path."""
     rng = random.Random(37)
     for _ in range(200):
-        top = rng.randrange(60, 200)
+        top = rng.choice([rng.randrange(60, 200), rng.randrange(4090, 4200)])
         up = sorted(rng.sample(range(1, top), rng.randrange(0, top)))
         down = sorted(rng.sample(range(1, top), rng.randrange(0, top)), reverse=True)
         code = tuple(up) + (top,) + tuple(down)
@@ -777,20 +789,21 @@ def test_concatenation_fold_long_codes_against_reference():
             _assert_concat_matches_reference(parts)
 
 
-def test_concatenation_float_letters_raise_type_error():
-    """Floats were compared as numbers; as mask bits they are refused."""
-    for parts in ([(1.5,)], [(2.0,), (1,)], [(1,), (1, 2.0)], [(1, 100.0)], [(100.0, 2)]):
+def test_concatenation_float_letters():
+    """Floats were compared as numbers.  One that could be a mask bit, at
+    most the parts' letter count, now raises TypeError; a larger one is
+    past every bit a junction reads, and the result is as before."""
+    for parts in ([(1.5,), (1,)], [(2.0,), (1,)], [(1,), (1, 2.0)], [(1,), (1,), (1.5,)]):
         with pytest.raises(TypeError):
             check_concatenation(parts)
         with pytest.raises(TypeError):
             compose(parts)
-    # a bad part before the float still raises its ValueError, and a
-    # float after a failing junction is still refused
+    for parts in ([(1.5,)], [(1, 100.0)], [(100.0, 2)], [(2.5,), (1,)], [(1,), (1,), (1, 100.0)]):
+        _assert_concat_matches_reference(parts)
+    assert compose([(2.5,), (1,)]) == (2.5, 1)
+    # a bad part before the float still raises its ValueError
     with pytest.raises(ValueError, match="positive"):
         check_concatenation([(0,), (1.5,)])
-    for late in [(1.5,), (1, 100.0)]:
-        with pytest.raises(TypeError):
-            check_concatenation([(1,), (1,), late])
 
 
 def test_one_pass_is_unimodal_equals_reference():
@@ -809,3 +822,17 @@ def test_reduce_extended_huge_blocks_and_letters():
     assert reduce_extended([ZBlock(3), 10**18, ZBlock(3)]) == [ZBlock(3), 10**18, ZBlock(3)]
     with pytest.raises(NotAFactorError):
         reduce_extended([ZBlock(10**18), 1])
+    # two huge letters: no junction can read their bits, and the fold's cap
+    # is the bits the blocks and letters supply, not the second peak
+    tracemalloc.start()
+    try:
+        for tokens in ([10**18, 10**18], [10**11, 10**11], [ZBlock(2), 10**18, 10**18]):
+            with pytest.raises(NotAFactorError):
+                reduce_extended(tokens)
+            with pytest.raises(NotAFactorError):
+                reference_reduce_extended(tokens)
+        assert reduce_extended([ZBlock(2), 10**18, ZBlock(2)]) == [ZBlock(2), 10**18, ZBlock(2)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
