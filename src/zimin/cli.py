@@ -29,7 +29,7 @@ from .matching import (
     shortest_instance,
     validate_ranking,
 )
-from .verification import run_bench, run_small_suite
+from .verification import run_small_suite
 from .words import first_violation, format_word, generate_zimin, parse_word
 
 FORMAT_VERSION = "1"
@@ -254,36 +254,11 @@ def cmd_avoid(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    code = 0
-    if args.bench:
-        sizes = tuple(int(s) for s in args.sizes.split(",")) if args.sizes else (50000, 100000)
-        rows = run_bench(sizes)
-        if args.json:
-            payload = {
-                "format_version": FORMAT_VERSION,
-                "bench": [
-                    {"n": n, "top_rank": k, "seconds": sec, "l": l, "cells": cells}
-                    for n, k, sec, l, cells in rows
-                ],
-            }
-            print(json.dumps(payload, sort_keys=True))
-        else:
-            print("n\ttop_rank\tseconds\tl\tcells")
-            for n, k, sec, l, cells in rows:
-                print(f"{n}\t{k}\t{sec:.3f}\t{l}\t{cells}")
-        return code
     rows = run_small_suite()
     failed = [name for name, ok in rows if not ok]
-    if args.json:
-        payload = {
-            "format_version": FORMAT_VERSION,
-            "suite": [{"name": name, "passed": ok} for name, ok in rows],
-        }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for name, ok in rows:
-            print(f"{name}: {'PASS' if ok else 'FAIL'}")
-        print(f"{len(rows) - len(failed)}/{len(rows)} passed")
+    lines = [f"{name}: {'PASS' if ok else 'FAIL'}" for name, ok in rows]
+    lines.append(f"{len(rows) - len(failed)}/{len(rows)} passed")
+    _emit(args, {"suite": [{"name": name, "passed": ok} for name, ok in rows]}, "\n".join(lines))
     return 1 if failed else 0
 
 
@@ -343,11 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_avoid)
 
-    p = sub.add_parser("verify", parents=[common], help="run self checks")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--suite", action="store_true", help="run the small suite (default)")
-    mode.add_argument("--bench", action="store_true", help="run the scaling benchmark")
-    p.add_argument("--sizes", default=None, help="bench sizes, comma separated")
+    p = sub.add_parser("verify", parents=[common], help="run the self-check suite")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -40,8 +40,8 @@ from .words import apply_mu
 
 DEFAULT_ENUM_LIMIT = 4096
 
-# the letter runs that rank gaps add to the codes of one match, in cells
-# all told; the 4.05M cells of a 50k-position ruler lifted by 80 ranks fit
+# the cells of one match's codes, all told; the 4.05M cells of a
+# 50k-position ruler lifted by 80 ranks fit
 MAX_RUN_CELLS = 1 << 23
 
 
@@ -167,10 +167,9 @@ def _steps(events):
 def _run(pattern: RankedPattern, shortest: bool = False, collect=None):
     """Descend the distinct ranks, maintaining compressed values.
 
-    Returns (runs, l, steps, cells) or None when a level system clashes:
-    runs maps each variable to its code as a deque of letter runs in code
-    order (spelled by _spell), and cells counts the letters that rank
-    gaps add to them.
+    Returns (runs, l, steps) or None when a level system clashes: runs
+    maps each variable to its code as a deque of letter runs in code
+    order (spelled by _spell).
     Every ranking that violates a condition clashes, and so do some that
     violate none (see validate_ranking).  Variables are interned in the
     order they enter, by rank and then last occurrence, both descending,
@@ -230,7 +229,7 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None):
     entering = Counter(ranks.values())  # level -> variables of that rank
     vals: list = []
     head = -1
-    label = active = components = true_sides = total_free = run_cells = 0
+    label = active = components = total_free = 0
     steps = [] if collect is not None else None
 
     for top, weight, recs in _steps(events):
@@ -317,18 +316,13 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None):
                 flag[u] = now
                 if now:
                     opened[u] = top
-                    true_sides += 1
                 else:
-                    true_sides -= 1
                     _add_run(vals[u >> 1], u, opened[u], top)
-
-        if not recs:
-            run_cells += weight * true_sides
 
     for u in range(size):
         if flag[u]:
             _add_run(vals[u >> 1], u, opened[u], 0)
-    return dict(zip(names, vals)), total_free, steps, run_cells
+    return dict(zip(names, vals)), total_free, steps
 
 
 def _add_run(code, side, opened, closed):
@@ -342,10 +336,14 @@ def _add_run(code, side, opened, closed):
 
 def _spell(run):
     """The valuation of a _run result, each code letter by letter.  Raises
-    SizeLimitError when its rank gaps add more than MAX_RUN_CELLS cells."""
-    runs, _, _, cells = run
+    SizeLimitError when the codes would hold more than MAX_RUN_CELLS cells."""
+    runs = run[0]
+    try:
+        cells = sum(map(len, chain.from_iterable(runs.values())))
+    except OverflowError:  # a range of more than sys.maxsize letters
+        cells = sum(abs(r[-1] - r[0]) + 1 for r in chain.from_iterable(runs.values()))
     if cells > MAX_RUN_CELLS:
-        raise SizeLimitError(f"rank gaps would add {cells} code cells, cap is {MAX_RUN_CELLS}")
+        raise SizeLimitError(f"codes would hold {cells} cells, cap is {MAX_RUN_CELLS}")
     return {var: tuple(chain.from_iterable(code)) for var, code in runs.items()}
 
 

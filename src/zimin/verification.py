@@ -1,8 +1,7 @@
-"""Self-checks and the scaling benchmark used by the verify command."""
+"""Self-checks used by the verify command, and the scaling pattern of
+acceptance criterion 5."""
 
 from __future__ import annotations
-
-import time
 
 from .avoidability import (
     Verdict,
@@ -83,7 +82,7 @@ def make_scaling_pattern(n: int, top_rank: int = 1000, ruler_max: int = 18) -> R
     to ruler_max + 1; the remainder follows the ruler sequence, whose
     values obey the separation condition by construction.  The matched
     instance length grows like 2**top_rank while the work stays near
-    linear in n, which is what the benchmark demonstrates.
+    linear in n, which is what acceptance criterion 5 checks.
     """
     chain = top_rank - ruler_max
     m = n - chain
@@ -99,22 +98,3 @@ def make_scaling_pattern(n: int, top_rank: int = 1000, ruler_max: int = 18) -> R
         symbols.append(var)
         ranks[var] = j
     return RankedPattern(tuple(symbols), ranks)
-
-
-def run_bench(sizes=(50000, 100000), top_rank: int = 1000):
-    """Time the compressed embedding on synthetic patterns.
-
-    Returns rows (n, top_rank, seconds, l, cells) where cells is the
-    total size of the compressed valuation.
-    """
-    rows = []
-    for n in sizes:
-        pattern = make_scaling_pattern(n, top_rank)
-        t0 = time.perf_counter()
-        res = compressed_embedding(pattern)
-        dt = time.perf_counter() - t0
-        if res is None:
-            raise AssertionError("benchmark pattern must match")
-        cells = sum(len(code) for code in res.valuation.values())
-        rows.append((n, top_rank, dt, res.free_components, cells))
-    return rows

@@ -315,18 +315,19 @@ def test_avoid_cap(capsys):
 
 
 def test_verify_suite(capsys):
-    code, out, _ = run(capsys, "verify", "--suite")
+    code, out, _ = run(capsys, "verify")
     assert code == 0
     lines = out.splitlines()
     assert all(line.endswith("PASS") for line in lines[:-1])
     assert lines[-1] == "13/13 passed"
 
 
-def test_verify_suite_and_bench_exclusive(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "--bench"])
-    assert exc.value.code == 2
-    assert "not allowed" in capsys.readouterr().err
+def test_verify_takes_no_mode(capsys):
+    for option in ("--bench", "--suite"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", option])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 def test_json_outputs_are_versioned(capsys):

@@ -291,24 +291,50 @@ def test_run_cells_cap():
 
 
 def test_run_cells_cap_is_exact(monkeypatch):
-    """cab with c = r, b = r - 1, a = 1 flags one side of b through the
-    gap r-2..2, so the gap adds r - 3 cells: at a cap of 100, r = 103
-    matches and r = 104 is refused."""
+    """cab with c = r, b = r - 1, a = 1 spells the codes r, 2..r-1 and 1,
+    r cells in all: at a cap of 100, r = 100 matches and r = 101 is
+    refused."""
     monkeypatch.setattr(matching, "MAX_RUN_CELLS", 100)
 
     def cab(r):
         return RankedPattern(tuple("cab"), {"c": r, "b": r - 1, "a": 1})
 
-    assert compressed_embedding(cab(103)).valuation["b"] == tuple(range(2, 103))
-    with pytest.raises(SizeLimitError, match="^rank gaps would add 101 code cells, cap is 100$"):
-        compressed_embedding(cab(104))
+    assert compressed_embedding(cab(100)).valuation["b"] == tuple(range(2, 100))
+    with pytest.raises(SizeLimitError, match="^codes would hold 101 cells, cap is 100$"):
+        compressed_embedding(cab(101))
     # counting spells no code, so the cap does not bind it
-    assert count_instances(cab(104)) == 2**306
+    assert count_instances(cab(101)) == 2**297
+
+
+def test_run_cells_cap_counts_runs_past_sys_maxsize():
+    """A run longer than sys.maxsize letters, which len() rejects, is
+    still counted exactly."""
+    r = 10**30
+    rp = RankedPattern(tuple("cab"), {"c": r, "b": r - 1, "a": 1})
+    with pytest.raises(SizeLimitError, match=f"^codes would hold {r} cells, cap is {MAX_RUN_CELLS}$"):
+        compressed_embedding(rp)
+
+
+def test_run_cells_cap_binds_a_decreasing_chain():
+    """A decreasing chain of 5,000 fresh variables has no rank gap, yet its
+    codes would hold 12,497,501 cells: both spelling products refuse it
+    fast, and counting it is past MAX_EXPONENT."""
+    n = 5000
+    rp = RankedPattern([f"v{r}" for r in range(n, 0, -1)], {f"v{r}": r for r in range(n, 0, -1)})
+    for spell_fn in (compressed_embedding, shortest_instance):
+
+        def refuse():
+            with pytest.raises(SizeLimitError, match=f"^codes would hold 12497501 cells, cap is {MAX_RUN_CELLS}$"):
+                spell_fn(rp)
+
+        assert _best_ms(refuse) < 1000
+    with pytest.raises(SizeLimitError, match="exponent cap"):
+        count_instances(rp)
 
 
 def test_count_is_not_bound_by_run_cells():
     """w x0 w x1 ... x999 w with w = 10,001 and x_i = 10,002 + i: its
-    rank gaps would add 10,010,000 code cells, past MAX_RUN_CELLS, but
+    codes would hold 10,509,502 cells, past MAX_RUN_CELLS, but
     l = 519,500 is within MAX_EXPONENT, so the count is exact, fast."""
     w = 10_001
     symbols, ranks = ["w"], {"w": w}
@@ -318,7 +344,7 @@ def test_count_is_not_bound_by_run_cells():
     rp = RankedPattern(symbols, ranks)
     assert count_instances(rp) == 2**519_500
     assert _best_ms(lambda: count_instances(rp)) < 200
-    message = f"^rank gaps would add 10010000 code cells, cap is {MAX_RUN_CELLS}$"
+    message = f"^codes would hold 10509502 cells, cap is {MAX_RUN_CELLS}$"
     with pytest.raises(SizeLimitError, match=message):
         compressed_embedding(rp)
 
