@@ -5,141 +5,57 @@ patterns whose instances have astronomical length stay cheap.  Modules:
 ``words`` for the words themselves and the factor test, ``compressed``
 for codes of factors, ``boundary`` for the junction flag systems,
 ``matching`` for the embedding engine, ``avoidability`` for the two
-deciders, ``oracle`` for brute-force ground truth.
+deciders, ``oracle`` for brute-force ground truth and the explicit-word
+reference construction.
+
+``import zimin`` loads none of them: each public name below imports its
+module on first use (PEP 562), so a process pays only for the modules
+it touches.
 """
 
-from .avoidability import (
-    MAX_VARIABLES,
-    FreeSetWitness,
-    RankingResult,
-    ReductionResult,
-    Verdict,
-    check_free_set,
-    delete_variables,
-    is_unavoidable_by_ranking,
-    is_unavoidable_by_reduction,
-)
-from .boundary import (
-    AdjacencyGraph,
-    count_free_components,
-    first_last,
-    shortest_first_last,
-)
-from .compressed import (
-    DEFAULT_MAX_LETTERS,
-    ZBlock,
-    block_code,
-    check_concatenation,
-    compose,
-    compress,
-    decompress,
-    decompressed_length,
-    expand_tokens,
-    extend,
-    is_unimodal,
-    is_valid_code,
-    reduce_extended,
-    token_code,
-    validate_code,
-)
-from .errors import (
-    EnumerationLimitError,
-    NotAFactorError,
-    SizeLimitError,
-    ZiminError,
-)
-from .matching import (
-    DEFAULT_ENUM_LIMIT,
-    MatchResult,
-    RankedPattern,
-    RankingViolation,
-    compressed_embedding,
-    count_instances,
-    enumerate_instances,
-    instance_length,
-    min_instance_length,
-    shortest_instance,
-    uncompressed_embedding,
-    validate_ranking,
-)
-from .oracle import (
-    SUBSTRING_MAX_K,
-    OracleBudget,
-    oracle_count,
-    oracle_enumerate,
-    oracle_is_factor,
-    oracle_min_length,
-)
-from .words import (
-    DEFAULT_MAX_ORDER,
-    apply_mu,
-    first_violation,
-    format_word,
-    generate_zimin,
-    is_zimin_factor,
-    parse_word,
-    project,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdjacencyGraph",
-    "DEFAULT_ENUM_LIMIT",
-    "DEFAULT_MAX_LETTERS",
-    "DEFAULT_MAX_ORDER",
-    "EnumerationLimitError",
-    "FreeSetWitness",
-    "MAX_VARIABLES",
-    "MatchResult",
-    "NotAFactorError",
-    "OracleBudget",
-    "RankedPattern",
-    "RankingResult",
-    "RankingViolation",
-    "ReductionResult",
-    "SUBSTRING_MAX_K",
-    "SizeLimitError",
-    "Verdict",
-    "ZBlock",
-    "ZiminError",
-    "apply_mu",
-    "block_code",
-    "check_concatenation",
-    "check_free_set",
-    "compose",
-    "compress",
-    "compressed_embedding",
-    "count_free_components",
-    "count_instances",
-    "decompress",
-    "decompressed_length",
-    "delete_variables",
-    "enumerate_instances",
-    "expand_tokens",
-    "extend",
-    "first_last",
-    "first_violation",
-    "format_word",
-    "generate_zimin",
-    "instance_length",
-    "is_unavoidable_by_ranking",
-    "is_unavoidable_by_reduction",
-    "is_unimodal",
-    "is_valid_code",
-    "is_zimin_factor",
-    "min_instance_length",
-    "oracle_count",
-    "oracle_enumerate",
-    "oracle_is_factor",
-    "oracle_min_length",
-    "parse_word",
-    "project",
-    "reduce_extended",
-    "shortest_first_last",
-    "shortest_instance",
-    "token_code",
-    "uncompressed_embedding",
-    "validate_code",
-    "validate_ranking",
-]
+# module -> the public names it defines
+_EXPORTS = {
+    "avoidability": (
+        "MAX_VARIABLES", "FreeSetWitness", "RankingResult", "ReductionResult", "Verdict",
+        "check_free_set", "delete_variables", "is_unavoidable_by_ranking",
+        "is_unavoidable_by_reduction",
+    ),
+    "boundary": ("AdjacencyGraph", "count_free_components", "first_last", "shortest_first_last"),
+    "compressed": (
+        "DEFAULT_MAX_LETTERS", "ZBlock", "block_code", "check_concatenation", "compose",
+        "compress", "decompress", "decompressed_length", "expand_tokens", "extend",
+        "is_unimodal", "is_valid_code", "reduce_extended", "token_code", "validate_code",
+    ),
+    "errors": ("EnumerationLimitError", "NotAFactorError", "SizeLimitError", "ZiminError"),
+    "matching": (
+        "DEFAULT_ENUM_LIMIT", "MatchResult", "RankedPattern", "RankingViolation",
+        "compressed_embedding", "count_instances", "enumerate_instances", "instance_length",
+        "min_instance_length", "shortest_instance", "validate_ranking",
+    ),
+    "oracle": (
+        "SUBSTRING_MAX_K", "OracleBudget", "oracle_count", "oracle_enumerate",
+        "oracle_is_factor", "oracle_min_length", "uncompressed_embedding",
+    ),
+    "words": (
+        "DEFAULT_MAX_ORDER", "apply_mu", "first_violation", "format_word", "generate_zimin",
+        "is_zimin_factor", "parse_word", "project",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

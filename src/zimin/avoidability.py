@@ -22,7 +22,7 @@ of distinct variables by nature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from itertools import combinations
 
@@ -39,11 +39,8 @@ class Verdict(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class FreeSetWitness:
-    free_set: frozenset
-    a_set: frozenset
-    b_set: frozenset
+# three frozensets: the candidate, and the sets A and B of the definition
+FreeSetWitness = namedtuple("FreeSetWitness", "free_set a_set b_set")
 
 
 def check_free_set(pattern, candidate):
@@ -76,11 +73,9 @@ def delete_variables(pattern, variables) -> tuple:
     return tuple(s for s in pattern if s not in drop)
 
 
-@dataclass(frozen=True)
-class ReductionResult:
-    verdict: Verdict
-    trace: tuple  # ((pattern, deleted_set), ...) down to the empty pattern
-    nodes: int = 0  # dfs calls
+# trace is ((pattern, deleted_set), ...) down to the empty pattern, and
+# nodes counts the dfs calls
+ReductionResult = namedtuple("ReductionResult", "verdict trace nodes", defaults=(0,))
 
 
 def _clash_table(masks) -> list:
@@ -175,12 +170,9 @@ def is_unavoidable_by_reduction(pattern, max_free_set_size=None) -> ReductionRes
     return ReductionResult(verdict, (), nodes)
 
 
-@dataclass(frozen=True)
-class RankingResult:
-    verdict: Verdict
-    ranking: dict | None
-    match: MatchResult | None
-    nodes: int = 0  # layer systems tested
+# ranking and match are None unless the verdict is UNAVOIDABLE, and
+# nodes counts the layer systems tested
+RankingResult = namedtuple("RankingResult", "verdict ranking match nodes", defaults=(0,))
 
 
 def is_unavoidable_by_ranking(pattern) -> RankingResult:

@@ -16,7 +16,6 @@ bit masks of its two sides (check_concatenation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 
 from .errors import NotAFactorError, SizeLimitError
@@ -92,6 +91,7 @@ def _records(seq) -> Code:
 def compress(word) -> Code:
     """Compute c(word), read off the binary digits of the peak's index p
     and of n - 1 - p.  Raises NotAFactorError on non-factors."""
+    word = word if isinstance(word, (tuple, list)) else tuple(word)  # _scan and word[p] read it
     violation, p = _scan(word)
     if violation is not None:
         raise NotAFactorError(f"factor condition fails at letter {violation}")
@@ -220,15 +220,26 @@ def compose(parts) -> Code:
     return _records([x for code in codes for x in code])
 
 
-@dataclass(frozen=True)
 class ZBlock:
     """Token standing for a whole Zimin word Z_order."""
 
-    order: int
+    __slots__ = ("order",)
 
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"block order must be >= 1, got {self.order}")
+    def __init__(self, order: int):
+        if order < 1:
+            raise ValueError(f"block order must be >= 1, got {order}")
+        object.__setattr__(self, "order", order)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"ZBlock is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.order == other.order if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self.order)
 
     def __repr__(self):
         return f"Z{self.order}"

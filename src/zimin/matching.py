@@ -29,14 +29,11 @@ numeric values.
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from dataclasses import dataclass
+from collections import Counter, deque, namedtuple
 from itertools import chain, product
 
-from .boundary import first_last
-from .compressed import DEFAULT_MAX_LETTERS, decompressed_length, power_of_two
+from .compressed import decompressed_length, power_of_two
 from .errors import EnumerationLimitError, SizeLimitError
-from .words import apply_mu
 
 DEFAULT_ENUM_LIMIT = 4096
 
@@ -45,7 +42,6 @@ DEFAULT_ENUM_LIMIT = 4096
 MAX_RUN_CELLS = 1 << 23
 
 
-@dataclass(frozen=True)
 class RankedPattern:
     """A pattern (sequence of variable occurrences) plus a ranking.
 
@@ -53,20 +49,34 @@ class RankedPattern:
     need to be contiguous; missing levels just insert no new variables.
     """
 
-    symbols: tuple
-    ranks: dict
+    __slots__ = ("symbols", "ranks")
 
-    def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        object.__setattr__(self, "ranks", dict(self.ranks))
-        if not self.symbols:
+    def __init__(self, symbols, ranks):
+        symbols, ranks = tuple(symbols), dict(ranks)
+        if not symbols:
             raise ValueError("pattern must have at least one symbol")
-        occurring = set(self.symbols)
-        if set(self.ranks) != occurring:
+        if set(ranks) != set(symbols):
             raise ValueError("ranks must cover exactly the occurring variables")
-        for var, rank in self.ranks.items():
+        for var, rank in ranks.items():
             if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
                 raise ValueError(f"rank of {var!r} must be a positive integer")
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "ranks", ranks)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"RankedPattern is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.symbols == other.symbols and self.ranks == other.ranks
+
+    __hash__ = None  # ranks is a dict
+
+    def __repr__(self):
+        return f"RankedPattern(symbols={self.symbols!r}, ranks={self.ranks!r})"
 
     def __len__(self):
         return len(self.symbols)
@@ -84,16 +94,11 @@ class RankedPattern:
         return tuple(dict.fromkeys(self.symbols))
 
 
-@dataclass(frozen=True)
-class RankingViolation:
-    kind: str  # "equal-ranks-unseparated" or "max-rank-repeated"
-    positions: tuple
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    valuation: dict  # variable -> compressed value
-    free_components: int  # l: total free bits over all levels
+# kind is "equal-ranks-unseparated" or "max-rank-repeated"
+RankingViolation = namedtuple("RankingViolation", "kind positions")
+# valuation maps each variable to its code; free_components is l, the
+# free bits over all levels
+MatchResult = namedtuple("MatchResult", "valuation free_components")
 
 
 def validate_ranking(pattern: RankedPattern):
@@ -444,47 +449,3 @@ def instance_length(pattern: RankedPattern, valuation) -> int:
 def min_instance_length(pattern: RankedPattern):
     res = shortest_instance(pattern)
     return None if res is None else instance_length(pattern, res.valuation)
-
-
-def uncompressed_embedding(
-    pattern: RankedPattern,
-    *,
-    validate: bool = True,
-    max_letters: int = DEFAULT_MAX_LETTERS,
-):
-    """Explicit-word reference construction of the canonical match.
-
-    Works on fully spelled values: descending a level applies the
-    morphism and then fixes up the boundary letters per the solved
-    flags.  Values grow exponentially, hence the letter cap; meant for
-    cross-checking the compressed engine, not for real inputs.
-    """
-    if validate and validate_ranking(pattern):
-        return None
-    seq = pattern.rank_sequence
-    val: dict = {}
-    for level in range(pattern.max_rank, 0, -1):
-        proj = [s for s, r in zip(pattern.symbols, seq) if r >= level]
-        forced = tuple(dict.fromkeys(s for s in proj if pattern.ranks[s] == level))
-        for var in val:
-            val[var] = apply_mu(val[var])
-        flags = first_last(proj, forced)
-        if flags is None:
-            return None
-        for var, (first, last) in flags.items():
-            if pattern.ranks[var] == level:
-                val[var] = (1,)
-                continue
-            word = val[var]
-            if first and word[0] != 1:
-                word = (1,) + word
-            elif not first and word[0] == 1:
-                word = word[1:]
-            if last and word[-1] != 1:
-                word = word + (1,)
-            elif not last and word[-1] == 1:
-                word = word[:-1]
-            val[var] = word
-        if sum(map(len, val.values())) > max_letters:
-            raise SizeLimitError(f"explicit values exceed cap {max_letters}")
-    return val

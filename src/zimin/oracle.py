@@ -3,24 +3,28 @@
 Everything here is deliberately naive: factor queries become substring
 searches, match queries try every block split of every substring.  The
 point is an independent reference the fast implementations are tested
-against, so nothing below shares code with them.
+against, so the oracles share no code with them.  The one exception is
+``uncompressed_embedding``, the explicit-word construction of the
+canonical match: it solves each level with ``boundary.first_last``,
+which the engine no longer calls, and it prechecks with the engine's
+``validate_ranking``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
+from .boundary import first_last
+from .compressed import DEFAULT_MAX_LETTERS
 from .errors import SizeLimitError
-from .words import generate_zimin
+from .matching import validate_ranking
+from .words import apply_mu, generate_zimin
 
 # a word with maximum letter M is a Zimin factor iff it occurs in Z_M
 SUBSTRING_MAX_K = 12
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    max_k: int = 4
-    max_pattern_len: int = 8
+OracleBudget = namedtuple("OracleBudget", "max_k max_pattern_len", defaults=(4, 8))
 
 
 def _as_string(word) -> str:
@@ -111,3 +115,42 @@ def oracle_min_length(pattern, budget: OracleBudget = OracleBudget()):
         if best is None or total < best:
             best = total
     return best
+
+
+def uncompressed_embedding(pattern, *, validate: bool = True, max_letters: int = DEFAULT_MAX_LETTERS):
+    """Explicit-word reference construction of the canonical match.
+
+    Works on fully spelled values: descending a level applies the
+    morphism and then fixes up the boundary letters per the solved
+    flags.  Values grow exponentially, hence the letter cap; meant for
+    cross-checking the compressed engine, not for real inputs.
+    """
+    if validate and validate_ranking(pattern):
+        return None
+    seq = pattern.rank_sequence
+    val: dict = {}
+    for level in range(pattern.max_rank, 0, -1):
+        proj = [s for s, r in zip(pattern.symbols, seq) if r >= level]
+        forced = tuple(dict.fromkeys(s for s in proj if pattern.ranks[s] == level))
+        for var in val:
+            val[var] = apply_mu(val[var])
+        flags = first_last(proj, forced)
+        if flags is None:
+            return None
+        for var, (first, last) in flags.items():
+            if pattern.ranks[var] == level:
+                val[var] = (1,)
+                continue
+            word = val[var]
+            if first and word[0] != 1:
+                word = (1,) + word
+            elif not first and word[0] == 1:
+                word = word[1:]
+            if last and word[-1] != 1:
+                word = word + (1,)
+            elif not last and word[-1] == 1:
+                word = word[:-1]
+            val[var] = word
+        if sum(map(len, val.values())) > max_letters:
+            raise SizeLimitError(f"explicit values exceed cap {max_letters}")
+    return val

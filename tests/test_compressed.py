@@ -72,6 +72,28 @@ def test_compress_reads_records_off_the_peak_index_z8():
             _check_compress(z[i:j])
 
 
+def test_compress_reads_a_word_given_once_as_a_generator():
+    """The factor scan and the peak lookup both read the word, so an
+    iterator is made a sequence first; first_violation takes one too."""
+    z = generate_zimin(8)
+    for i in range(len(z)):
+        for j in range(i + 1, len(z) + 1):
+            window = z[i:j]
+            assert compress(x for x in window) == compress(window), window
+    assert is_zimin_factor(x for x in (1, 2, 1))
+    with pytest.raises(NotAFactorError):
+        compress(x for x in (1, 1))
+    tracemalloc.start()
+    try:
+        for value in (0, 10**12):
+            with pytest.raises(TypeError):
+                compress(value)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
 def test_compress_reads_records_off_the_peak_index_long_windows():
     rng = random.Random(17)
     z = generate_zimin(17)
