@@ -147,10 +147,9 @@ def _match_or_explain(args, engine):
     match is None and the violated ranking conditions are reported (none
     when both hold but a level system clashes), on stderr in text mode."""
     rp = _ranked(args)
-    violations = validate_ranking(rp)
-    res = None if violations else engine(rp, validate=False)
+    res = engine(rp)
     if res is None:
-        listed = [{"kind": v.kind, "positions": list(v.positions)} for v in violations]
+        listed = [{"kind": v.kind, "positions": list(v.positions)} for v in validate_ranking(rp)]
         _emit(args, {"valuation": None, "violations": listed}, "NO-MATCH")
         if not args.json:
             for v in listed:

@@ -25,12 +25,19 @@ turns off.  Levels between two distinct ranks repeat one unforced
 system, so they are taken in one step, and the cost grows with the
 distinct ranks and the components that change, not with the ranks'
 numeric values.
+
+Each product pays only for what it returns.  One scan of the ranking
+peels the projection and checks both ranking conditions, so a broken
+ranking ends before any level is walked.  A count keeps no flag and
+builds no code.  A match closes each run of letters once and spells
+each code once.  An enumeration keeps, per variable, a table from the
+bits of the free components that hold its sides to its code.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque, namedtuple
-from itertools import chain, product
+from collections import Counter, namedtuple
+from itertools import chain
 
 from .compressed import decompressed_length, power_of_two
 from .errors import EnumerationLimitError, SizeLimitError
@@ -132,29 +139,39 @@ def validate_ranking(pattern: RankedPattern):
 
 
 def _peel_events(pattern: RankedPattern):
-    """Deletion records of the projection linked list, per distinct rank.
+    """Deletion records of the projection linked list, per distinct rank
+    from the top down, or None when the ranking breaks a condition.
 
     Replayed in reverse they re-insert the rank-i positions when the
     engine descends to level i, so every position costs O(1) overall.
+    The same scan checks both conditions of validate_ranking: the top
+    rank occurs once, and no rank-i position has a rank-i right
+    neighbour in the projection onto ranks >= i.
     """
     seq = pattern.rank_sequence
+    if seq.count(max(seq)) > 1:
+        return None  # max-rank-repeated
     n = len(seq)
-    prv = list(range(-1, n - 1))
-    nxt = list(range(1, n + 1))
     by_rank: dict[int, list[int]] = {}
     for pos, rank in enumerate(seq):
         by_rank.setdefault(rank, []).append(pos)
-    events: dict[int, list[tuple[int, int, int]]] = {}
-    for level in sorted(by_rank):
+    levels = sorted(by_rank)
+    prv = list(range(-1, n - 1))
+    nxt = list(range(1, n + 1))
+    events = []
+    for level in levels:
         recs = []
         for pos in by_rank[level]:
             left, right = prv[pos], nxt[pos]
-            recs.append((pos, left, right))
+            if right < n:
+                if seq[right] == level:
+                    return None  # equal-ranks-unseparated
+                prv[right] = left
             if left >= 0:
                 nxt[left] = right
-            if right < n:
-                prv[right] = left
-        events[level] = recs
+            recs.append((pos, left, right))
+        events.append((level, recs))
+    events.reverse()
     return events
 
 
@@ -162,23 +179,26 @@ def _steps(events):
     """The engine's steps, top down, as (top level, levels spanned,
     insertion records): each distinct rank is one step, and the gap of
     unforced levels below it, if there is one, is one more."""
-    levels = sorted(events, reverse=True)
-    for level, below in zip(levels, levels[1:] + [0]):
-        yield level, 1, events[level]
+    for (level, recs), (below, _) in zip(events, events[1:] + [(0, ())]):
+        yield level, 1, recs
         if level - below > 1:
             yield level - 1, level - below - 1, ()
 
 
-def _run(pattern: RankedPattern, shortest: bool = False, collect=None):
+def _run(pattern: RankedPattern, shortest: bool = False, collect=None, codes: bool = True):
     """Descend the distinct ranks, maintaining compressed values.
 
-    Returns (runs, l, steps) or None when a level system clashes: runs
-    maps each variable to its code as a deque of letter runs in code
-    order (spelled by _spell).
-    Every ranking that violates a condition clashes, and so do some that
-    violate none (see validate_ranking).  Variables are interned in the
-    order they enter, by rank and then last occurrence, both descending,
-    so the active ones are always a prefix.
+    Returns None when the ranking breaks a condition, which the peel scan
+    finds before any level is walked, or when a level system clashes,
+    which some rankings that break neither condition also do (see
+    validate_ranking).  Else returns (l, steps, spelled).  Without
+    ``codes`` (a count) no flag is kept and spelled is None; else it is
+    (names, ranks, runs, cells): runs[2v] and runs[2v + 1] list the
+    letter runs of the end and start side of the v-th variable of names
+    in the order they closed (None for no run), and cells is the exact
+    number of letters of all codes (spelled by _spell).  Variables are
+    interned in the order they enter, by rank and then last occurrence,
+    both descending, so the active ones are always a prefix.
 
     The junction components live across levels: a dict per vertex maps
     each neighbour to its pair multiplicity, and a label per vertex names
@@ -197,13 +217,13 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None):
     pinned at the previous step too unless it was rebuilt.
 
     Each flag that turns True opens a run of letters at that step's top
-    level; when it turns False, or at the end (level 1), it enters the
-    code as one range.  The levels strictly between a rank and the next
-    lower one (or 0) form a gap: they keep that rank's projection and
-    force nothing, so the gap is one unforced step that adds gap *
-    components to l and whose True flags cover all its levels.  The work
-    grows with the distinct ranks and the components that change, not
-    with the ranks' values.
+    level; when it turns False, or at the end (level 1), the run closes
+    as one range and its letters are counted.  The levels strictly
+    between a rank and the next lower one (or 0) form a gap: they keep
+    that rank's projection and force nothing, so the gap is one unforced
+    step that adds gap * components to l and whose True flags cover all
+    its levels.  The work grows with the distinct ranks and the
+    components that change, not with the ranks' values.
 
     With ``collect`` (an enumeration limit), steps keeps one (level,
     sorted sides of a free component) per free bit while 2**l stays
@@ -211,12 +231,14 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None):
     level's free components in order of their smallest vertex; else
     steps is None.
     """
+    events = _peel_events(pattern)
+    if events is None:
+        return None
     symbols = pattern.symbols
     ranks = pattern.ranks
     n = len(symbols)
-    events = _peel_events(pattern)
-    last_pos = {var: pos for pos, var in enumerate(symbols)}
-    names = sorted(last_pos, key=lambda var: (-ranks[var], -last_pos[var]))
+    # by rank, then last occurrence, both descending
+    names = list(dict.fromkeys(symbols[rec[0]] for _, recs in events for rec in reversed(recs)))
     ids = {var: i for i, var in enumerate(names)}
     vid = [ids[s] for s in symbols]
     end = [2 * v for v in vid]
@@ -229,10 +251,11 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None):
     pins: dict = {}  # label -> flag of the component's end sides, this step
     flag = [False] * size  # each side's flag at the last step
     opened = [0] * size  # top level of the step where a True flag's run opened
+    runs: list = [None] * size  # each side's closed runs
+    cells = len(names)  # the peaks
     # has a left neighbour; positions only enter, so a flag never clears
     left = [False] * len(names)
     entering = Counter(ranks.values())  # level -> variables of that rank
-    vals: list = []
     head = -1
     label = active = components = total_free = 0
     steps = [] if collect is not None else None
@@ -262,14 +285,13 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None):
 
         above = active
         active += entering[top]
-        vals.extend(deque(((top,),)) for _ in range(above, active))
         touched.discard(-1)  # the touched side is a new vertex
         fresh = list(range(2 * above, 2 * active))
         for lab in touched:
             fresh += members.pop(lab)
         for u in fresh:
             comp[u] = -1
-        rebuilt = set()
+        rebuilt = []  # fresh labels, so none is in prev
         for u in fresh:
             if comp[u] < 0:
                 label += 1
@@ -281,7 +303,7 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None):
                             comp[y] = label
                             group.append(y)
                 members[label] = group
-                rebuilt.add(label)
+                rebuilt.append(label)
         components += len(rebuilt) - len(touched)
 
         prev, pins = pins, {}
@@ -298,13 +320,15 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None):
                     steps = None  # over the limit: stop keeping components
                     break
         total_free += weight * free
+        if not codes:
+            continue
         if shortest:
             # the tail's last flag is already False wherever it is free
             pins.setdefault(comp[start[head]], True)
 
         # the variables entering at this step emit no flags yet
         emitting = 2 * above
-        for lab in rebuilt.union(prev):
+        for lab in chain(rebuilt, prev):
             group = members.get(lab)
             if group is None:
                 continue  # dissolved: its vertices are in rebuilt components
@@ -321,35 +345,40 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None):
                 flag[u] = now
                 if now:
                     opened[u] = top
-                else:
-                    _add_run(vals[u >> 1], u, opened[u], top)
+                    continue
+                # letters opened[u] down to top + 1, ascending on a start side
+                cells += opened[u] - top
+                run = range(top + 1, opened[u] + 1) if u & 1 else range(opened[u], top, -1)
+                runs[u] = [run] if runs[u] is None else runs[u] + [run]
 
+    if not codes:
+        return total_free, steps, None
     for u in range(size):
-        if flag[u]:
-            _add_run(vals[u >> 1], u, opened[u], 0)
-    return dict(zip(names, vals)), total_free, steps
-
-
-def _add_run(code, side, opened, closed):
-    """Letters opened down to closed + 1 as one range, at the front of
-    code for a start side and at its back for an end side."""
-    if side & 1:
-        code.appendleft(range(closed + 1, opened + 1))
-    else:
-        code.append(range(opened, closed, -1))
+        if flag[u]:  # the run reaches letter 1
+            cells += opened[u]
+            run = range(1, opened[u] + 1) if u & 1 else range(opened[u], 0, -1)
+            runs[u] = [run] if runs[u] is None else runs[u] + [run]
+    return total_free, steps, (names, ranks, runs, cells)
 
 
 def _spell(run):
     """The valuation of a _run result, each code letter by letter.  Raises
-    SizeLimitError when the codes would hold more than MAX_RUN_CELLS cells."""
-    runs = run[0]
-    try:
-        cells = sum(map(len, chain.from_iterable(runs.values())))
-    except OverflowError:  # a range of more than sys.maxsize letters
-        cells = sum(abs(r[-1] - r[0]) + 1 for r in chain.from_iterable(runs.values()))
+    SizeLimitError when the codes would hold more than MAX_RUN_CELLS cells.
+
+    A start side's runs closed top down, so they are spelled in reverse;
+    an end side's follow the peak in the order they closed."""
+    names, ranks, runs, cells = run[2]
     if cells > MAX_RUN_CELLS:
         raise SizeLimitError(f"codes would hold {cells} cells, cap is {MAX_RUN_CELLS}")
-    return {var: tuple(chain.from_iterable(code)) for var, code in runs.items()}
+    out = {}
+    for v, var in enumerate(names):
+        after, before = runs[2 * v], runs[2 * v + 1]
+        if after is None and (before is None or len(before) == 1):  # the common codes
+            out[var] = (ranks[var],) if before is None else (*before[0], ranks[var])
+        else:
+            tail = chain.from_iterable(after or ())
+            out[var] = (*chain.from_iterable(reversed(before or ())), ranks[var], *tail)
+    return out
 
 
 def _exceeds(l: int, limit: int) -> bool:
@@ -357,41 +386,30 @@ def _exceeds(l: int, limit: int) -> bool:
     return limit < 0 or l >= limit.bit_length()
 
 
-def compressed_embedding(pattern: RankedPattern, *, validate: bool = True):
-    """Canonical match, or None when the ranking admits none.
-
-    With validate=False the two ranking conditions are not prechecked;
-    invalid rankings still come back as None because their projections
-    force clashing boundary flags.
-    """
-    if validate and validate_ranking(pattern):
-        return None
+def compressed_embedding(pattern: RankedPattern):
+    """Canonical match, or None when the ranking admits none."""
     out = _run(pattern)
-    return None if out is None else MatchResult(_spell(out), out[1])
+    return None if out is None else MatchResult(_spell(out), out[0])
 
 
-def shortest_instance(pattern: RankedPattern, *, validate: bool = True):
+def shortest_instance(pattern: RankedPattern):
     """Match whose instance is shortest possible.
 
     Junction letters are fixed by the systems; only the flags at the two
     projection ends are genuinely optional, and turning them off level
     by level is globally optimal.
     """
-    if validate and validate_ranking(pattern):
-        return None
     out = _run(pattern, shortest=True)
-    return None if out is None else MatchResult(_spell(out), out[1])
+    return None if out is None else MatchResult(_spell(out), out[0])
 
 
 def count_instances(pattern: RankedPattern) -> int:
     """Exact number of distinct matches (2**l), 0 when there is none.
 
-    Raises SizeLimitError when l exceeds MAX_EXPONENT; the codes are
-    never spelled, so MAX_RUN_CELLS does not apply."""
-    if validate_ranking(pattern):
-        return 0
-    out = _run(pattern)
-    return 0 if out is None else power_of_two(out[1])
+    Raises SizeLimitError when l exceeds MAX_EXPONENT.  The walk keeps
+    no flag and builds no code, so MAX_RUN_CELLS does not apply."""
+    out = _run(pattern, codes=False)
+    return 0 if out is None else power_of_two(out[0])
 
 
 def enumerate_instances(pattern: RankedPattern, limit: int = DEFAULT_ENUM_LIMIT):
@@ -405,34 +423,55 @@ def enumerate_instances(pattern: RankedPattern, limit: int = DEFAULT_ENUM_LIMIT)
     in product order over the components _run collects.  Raises
     EnumerationLimitError (carrying l) instead of materializing more
     than ``limit`` results.
+
+    A variable's code depends only on the bits of the components that
+    hold its sides, so each variable keeps a table from its own bits to
+    its code.  From one bit vector to the next only the trailing bits
+    change, and only the codes of the variables they touch are looked
+    up again: after the first match, each costs O(variables).
     """
-    if validate_ranking(pattern):
-        return []
     run = _run(pattern, collect=limit)
     if run is None:
         return []
-    total_free, steps = run[1], run[2]
+    total_free, steps = run[0], run[1]
     if _exceeds(total_free, limit):
         raise EnumerationLimitError(total_free, limit)
     canonical = _spell(run)
-
-    sides = []  # the canonical letter sets, end side 2v and start side 2v + 1
-    for code in canonical.values():
-        peak = code.index(max(code))
-        sides += (set(code[peak + 1 :]), set(code[:peak]))
-    ranks = pattern.ranks
-    out = []
-    for bits in product((False, True), repeat=total_free):
-        letters = sides.copy()
-        for (level, group), bit in zip(steps, bits):
-            if bit:
-                for u in group:
-                    letters[u] = letters[u] ^ {level}
-        out.append({
-            var: (*sorted(letters[2 * v + 1]), ranks[var], *sorted(letters[2 * v], reverse=True))
-            for v, var in enumerate(canonical)
-        })
+    names, codes = list(canonical), list(canonical.values())
+    flips = []  # per bit, (variable, its bit in the variable's key)
+    touches: list = [[] for _ in names]  # per variable and bit of its key, (level, sides)
+    for level, group in steps:
+        sides: dict = {}
+        for u in group:
+            sides.setdefault(u >> 1, []).append(u & 1)
+        flips.append([(v, 1 << len(touches[v])) for v in sides])
+        for v, on in sides.items():
+            touches[v].append((level, on))
+    tables = [{0: code} for code in codes]
+    keys = [0] * len(names)
+    out = [canonical]
+    for o in range(1, 1 << total_free):
+        for j in range(total_free - (o & -o).bit_length(), total_free):
+            for v, bit in flips[j]:
+                key = keys[v] = keys[v] ^ bit
+                code = tables[v].get(key)
+                if code is None:
+                    code = tables[v][key] = _flipped(tables[v][0], touches[v], key)
+                codes[v] = code
+        out.append(dict(zip(names, codes)))
     return out
+
+
+def _flipped(code, touches, key):
+    """code with the letter of each touch whose bit is set in key flipped
+    on the sides it touches."""
+    peak = code.index(max(code))
+    letters = [set(code[peak + 1 :]), set(code[:peak])]  # end side, start side
+    for i, (level, sides) in enumerate(touches):
+        if key >> i & 1:
+            for side in sides:
+                letters[side] ^= {level}
+    return (*sorted(letters[1]), code[peak], *sorted(letters[0], reverse=True))
 
 
 def instance_length(pattern: RankedPattern, valuation) -> int:

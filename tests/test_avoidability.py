@@ -217,7 +217,7 @@ def reference_ranking_search(pattern) -> RankingResult:
             rp = RankedPattern(pattern, dict(assign))
             if validate_ranking(rp):
                 return None
-            match = compressed_embedding(rp, validate=False)
+            match = compressed_embedding(rp)
             if match is None:
                 return None
             return dict(assign), match

@@ -1,7 +1,7 @@
 """Differential tests of the level engine, which keeps its junction
 components across levels, against the per-level BFS engine
 (``reference_engine``): identical valuations (as tuples, in the same
-order), l, shortest matches and enumeration order.
+order), l, counts, shortest matches and enumeration order.
 """
 
 from __future__ import annotations
@@ -18,13 +18,16 @@ from zimin import (
     RankedPattern,
     compressed_embedding,
     count_free_components,
+    count_instances,
     enumerate_instances,
     first_last,
     instance_length,
     shortest_first_last,
     shortest_instance,
+    validate_ranking,
 )
 from zimin.compressed import decompressed_length
+from zimin.matching import _peel_events
 from zimin.verification import make_scaling_pattern
 
 ENUM_LIMIT = 64
@@ -40,7 +43,7 @@ def _reference(pattern, shortest):
 
 
 def _engine(pattern, shortest):
-    match = (shortest_instance if shortest else compressed_embedding)(pattern, validate=False)
+    match = (shortest_instance if shortest else compressed_embedding)(pattern)
     return None if match is None else (_frozen(match.valuation), match.free_components)
 
 
@@ -56,6 +59,9 @@ def assert_same(pattern, enumerate_too=True):
     for shortest in (False, True):
         got = _engine(pattern, shortest)
         assert got == _reference(pattern, shortest), (pattern, shortest)
+    # the count builds no code, so it is checked on its own
+    walked = ref._run(pattern)
+    assert count_instances(pattern) == (0 if walked is None else 1 << walked[1]), pattern
     if enumerate_too:
         listed = _enumeration(enumerate_instances, pattern)
         assert listed == _enumeration(ref.enumerate_instances, pattern), pattern
@@ -108,6 +114,53 @@ def test_gapped_ranks(universe):
     shortest and enumeration (limit 64) agree on every one."""
     matched = sum(assert_same(gapped(pattern)) for pattern in universe())
     assert matched == {small_universe: 140, seeded_universe: 264}[universe]
+
+
+def assert_no_match(pattern):
+    assert compressed_embedding(pattern) is None
+    assert shortest_instance(pattern) is None
+    assert count_instances(pattern) == 0
+    assert enumerate_instances(pattern) == []
+
+
+@pytest.mark.parametrize("universe", [small_universe, seeded_universe])
+def test_peel_scan_rejects_exactly_the_broken_rankings(universe):
+    """The peel scan returns None exactly when validate_ranking reports a
+    violation, dense and with ranks 3r + 5, and then every product
+    answers no match."""
+    broken = 0
+    for dense in universe():
+        for pattern in (dense, gapped(dense)):
+            rejected = _peel_events(pattern) is None
+            assert rejected == bool(validate_ranking(pattern)), pattern
+            if rejected:
+                assert_no_match(pattern)
+                broken += 1
+    assert broken == {small_universe: 2 * 8604, seeded_universe: 2 * 1735}[universe]
+
+
+def test_peel_scan_rejects_long_broken_rankings():
+    """Breaks shaped like the benchmark's: a second occurrence of the top
+    variable in a chain plus ruler, and two adjacent equal ranks in a
+    300-position ruler of distinct variables."""
+    chain = make_scaling_pattern(82 + 127, top_rank=100, ruler_max=7)
+    top = max(chain.ranks, key=chain.ranks.get)
+    assert _peel_events(chain) is not None
+    for pos in (0, 50, len(chain)):
+        symbols = chain.symbols[:pos] + (top,) + chain.symbols[pos:]
+        pattern = RankedPattern(symbols, chain.ranks)
+        kinds = {v.kind for v in validate_ranking(pattern)}
+        assert "max-rank-repeated" in kinds
+        assert _peel_events(pattern) is None
+        assert_no_match(pattern)
+    symbols = tuple(range(300))
+    ruler = {p: ((p + 1) & -(p + 1)).bit_length() + 10 for p in symbols}
+    assert _peel_events(RankedPattern(symbols, ruler)) is not None
+    for pos in (1, 150, 299):
+        pattern = RankedPattern(symbols, {**ruler, pos: ruler[pos - 1]})
+        assert validate_ranking(pattern)[0].kind == "equal-ranks-unseparated"
+        assert _peel_events(pattern) is None
+        assert_no_match(pattern)
 
 
 def test_scaling_pattern():
@@ -188,7 +241,7 @@ def test_instance_length_sums_per_occurrence():
     for dense in chain(small_universe(), seeded_universe()):
         for pattern in (dense, gapped(dense)):
             for product_fn in (compressed_embedding, shortest_instance):
-                match = product_fn(pattern, validate=False)
+                match = product_fn(pattern)
                 if match is None:
                     continue
                 val = match.valuation

@@ -5,6 +5,7 @@ import time
 from itertools import product
 
 import pytest
+import reference_engine
 from test_avoidability import canonical_patterns
 
 from zimin import (
@@ -203,7 +204,7 @@ def test_no_match_on_forced_conflict():
     # aa at the bottom level needs a 1 on exactly one side of the junction,
     # but rank-1 values are exactly the letter 1 on both sides
     rp = RankedPattern(("a", "a"), {"a": 1})
-    assert compressed_embedding(rp, validate=False) is None
+    assert compressed_embedding(rp) is None
     assert uncompressed_embedding(rp, validate=False) is None
     assert count_instances(rp) == 0
     assert enumerate_instances(rp) == []
@@ -214,8 +215,8 @@ def test_no_match_on_forced_conflict():
 def test_invalid_ranking_rejected_by_validation():
     bad = RankedPattern(("a", "c", "b"), {"a": 1, "c": 1, "b": 2})
     assert compressed_embedding(bad) is None
-    # skipping validation still yields no match, via the flag conflicts
-    assert compressed_embedding(bad, validate=False) is None
+    # the level walk with no precheck still yields no match, via the flag conflicts
+    assert reference_engine._run(bad) is None
 
 
 def test_conditions_are_not_sufficient():
