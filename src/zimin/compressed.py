@@ -11,15 +11,17 @@ operations here work on such codes without expanding the underlying
 word unless explicitly asked to.
 
 Concatenations are decided by a left fold over each part's peak and the
-bit masks of its two sides (check_concatenation).
+bit masks of its two sides, taken in the loop that walks the part
+(check_concatenation); compose reads the records of the whole off the
+parts whose peak tops every part before or after them.  Expansions spell
+Zimin words as bytes: a call spells its largest gap once, and every
+smaller gap is a prefix of it.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-
 from .errors import NotAFactorError, SizeLimitError
-from .words import Word, _scan, generate_zimin
+from .words import Word, _scan, _spell_zimin
 
 Code = tuple[int, ...]
 
@@ -67,25 +69,6 @@ def is_valid_code(code) -> bool:
     except ValueError:
         return False
     return True
-
-
-def _records(seq) -> Code:
-    """Left-to-right maxima followed by right-to-left maxima of a
-    sequence whose maximum is unique, keeping that maximum once."""
-    prefix: list[int] = []
-    best = 0
-    for x in seq:
-        if x > best:
-            prefix.append(x)
-            best = x
-    suffix: list[int] = []
-    best = 0
-    for x in reversed(seq):
-        if x > best:
-            suffix.append(x)
-            best = x
-    suffix.reverse()
-    return tuple(prefix[:-1] + suffix)
 
 
 def compress(word) -> Code:
@@ -140,7 +123,8 @@ def decompress(code, max_letters: int = DEFAULT_MAX_LETTERS) -> Word:
     """Expand a code back into an explicit word.
 
     The gap between records a and b is Z_{min(a,b)-1}, empty when the
-    smaller record is 1.
+    smaller record is 1.  Each gap Z_m is the first 2^m - 1 bytes of the
+    largest gap so far, so the call spells its largest gap once.
     """
     code = validate_code(code)
     if not code:
@@ -148,12 +132,13 @@ def decompress(code, max_letters: int = DEFAULT_MAX_LETTERS) -> Word:
     n = decompressed_length(code)
     if n > max_letters:
         raise SizeLimitError(f"decompressed word has {n} letters, cap is {max_letters}")
-    gaps: dict[int, Word] = {}
-    out = [code[0]]
+    z, out = b"", [code[0]]
     for a, b in zip(code, code[1:]):
         m = min(a, b) - 1
         if m > 0:
-            out.extend(gaps.get(m) or gaps.setdefault(m, generate_zimin(m)))
+            if m > len(z).bit_length():  # an order past the cap raises here
+                z = _spell_zimin(m, word=z)
+            out += z[: (1 << m) - 1]
         out.append(b)
     return tuple(out)
 
@@ -170,33 +155,50 @@ def check_concatenation(parts) -> bool:
     of the letter count fails unread.  Linear in the letters plus the
     peaks divided by the word size.
     """
-    codes = [tuple(part) for part in parts]
+    return _peaks([tuple(part) for part in parts]) is not None
+
+
+def _peaks(codes: list):
+    """The parts' peaks if every junction passes, else None.  Each part is
+    walked and validated as validate_code does, also after a failing
+    junction, in the loop that takes its junction with the parts before."""
     cap = sum(map(len, codes))
-    walks = map(_walk, codes, repeat(cap))
-    return _fold(walks, cap) & all(walks)  # all() validates the parts left
+    lim = cap if cap < 4096 else 4096
+    peaks, a, end = [], 0, 0  # a < 0 once a junction fails
+    for code in codes:
+        start = end_b = peak = prev = 0
+        for x in code:
+            if x > peak and prev == peak:
+                if x > lim:
+                    peak, start, end_b = _long_sides(code, x, start, cap)
+                    break
+                start |= (end_b := 1 << x)
+                peak = x
+            elif 0 < x < prev:
+                end_b |= 1 << x
+            else:
+                validate_code(code)  # rejects the code, with its own error
+            prev = x
+        peaks.append(peak)
+        if a >= 0:
+            m = a if a < peak else peak
+            if m > cap or (end ^ start) & (need := (2 << m) - 2) != need:
+                a = -1
+            else:
+                a, end = (a if a > peak else peak), end & -(2 << m) | end_b
+    return peaks if a >= 0 else None
 
 
-def _walk(code: Code, cap: int):
-    """(peak, start mask, end mask) of a code, validated as validate_code
-    does, in one pass; from a letter past ``cap`` or 4096 on, _bits sets
-    the bits, none above ``cap``, in linear time where shifts are quadratic."""
-    start = end = peak = prev = 0
-    for x in code:
-        if x > peak and prev == peak:
-            if x > cap or x > 4096:
-                rest = code[code.index(x) :]
-                if not is_unimodal(rest) or rest[-1] < 1:
-                    validate_code(code)
-                i, top = rest.index(peak := max(rest)), min(peak, cap)
-                return peak, start | _bits(rest[: i + 1], top), _bits(rest[i:], top)
-            start |= (end := 1 << x)
-            peak = x
-        elif 0 < x < prev:
-            end |= 1 << x
-        else:
-            validate_code(code)  # rejects the code, with its own error
-        prev = x
-    return peak, start, end
+def _long_sides(code: Code, x, start: int, cap: int):
+    """(peak, start mask, end mask) of a code whose rising letter x is past
+    ``cap`` or 4096, given the start mask of the letters before x: from x
+    on, _bits sets the bits, none above ``cap``, in linear time where
+    shifts are quadratic."""
+    rest = code[code.index(x) :]
+    if not is_unimodal(rest) or rest[-1] < 1:
+        validate_code(code)
+    i, top = rest.index(peak := max(rest)), min(peak, cap)
+    return peak, start | _bits(rest[: i + 1], top), _bits(rest[i:], top)
 
 
 def _fold(sides, cap: int) -> bool:
@@ -211,13 +213,28 @@ def _fold(sides, cap: int) -> bool:
 
 
 def compose(parts) -> Code:
-    """Code of the concatenation, or NotAFactorError if it is not a factor,
-    decided by check_concatenation at its cost; the records of the whole
-    word are among the parts' records, so no word is expanded."""
+    """Code of the concatenation, or NotAFactorError if it is not a factor.
+
+    The junctions are decided as in check_concatenation.  A left-to-right
+    maximum of the whole word is one of its part's that tops every peak
+    before that part, so the records are read off the parts whose peak
+    tops every part before (or after) them, and no word is expanded.
+    """
     codes = [tuple(part) for part in parts]
-    if not check_concatenation(codes):
+    peaks = _peaks(codes)
+    if peaks is None:
         raise NotAFactorError("concatenation is not a Zimin factor")
-    return _records([x for code in codes for x in code])
+    up, best = [], 0
+    for code, peak in zip(codes, peaks):
+        if peak > best:
+            up += [x for x in code[: code.index(peak) + 1] if x > best]
+            best = peak
+    down, best = [], 0
+    for code, peak in zip(reversed(codes), reversed(peaks)):
+        if peak > best:
+            down += [x for x in reversed(code[code.index(peak) :]) if x > best]
+            best = peak
+    return (*up[:-1], *reversed(down))  # both end at the word's peak
 
 
 class ZBlock:
@@ -290,10 +307,12 @@ def expand_tokens(tokens, max_letters: int = DEFAULT_MAX_LETTERS) -> Word:
             total += 1
         if total > max_letters:
             raise SizeLimitError(f"token expansion exceeds cap {max_letters}")
-    out: list[int] = []
+    z, out = b"", []  # every block is a prefix of the largest so far
     for tok in tokens:
         if isinstance(tok, ZBlock):
-            out.extend(generate_zimin(tok.order))
+            if tok.order > len(z).bit_length():  # an order past the cap raises here
+                z = _spell_zimin(tok.order, word=z)
+            out += z[: (1 << tok.order) - 1]
         else:
             if tok < 1:
                 raise ValueError("letters must be positive integers")

@@ -24,14 +24,19 @@ DEFAULT_MAX_ORDER = 25
 
 def generate_zimin(k: int, max_order: int = DEFAULT_MAX_ORDER) -> Word:
     """Return Z_k as a tuple of letters."""
+    return tuple(_spell_zimin(k, max_order))
+
+
+def _spell_zimin(k: int, max_order: int = DEFAULT_MAX_ORDER, word: bytes = b"") -> bytes:
+    """Z_k as bytes, one letter a byte, doubled on from ``word``, which is
+    empty or Z_j for some j < k; Z_j is Z_k's first 2^j - 1 letters."""
     if k < 1:
         raise ValueError(f"Zimin words are indexed from 1, got {k}")
     if k > max_order:
         raise SizeLimitError(f"Z_{k} has 2^{k} - 1 letters, above cap 2^{max_order} - 1")
-    word = [1]
-    for letter in range(2, k + 1):
-        word = word + [letter] + word
-    return tuple(word)
+    for letter in range(len(word).bit_length() + 1, k + 1):
+        word = bytes((letter,)).join((word, word))
+    return word
 
 
 def apply_mu(word) -> Word:

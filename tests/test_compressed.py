@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 import tracemalloc
 from collections import Counter, deque
-from itertools import chain, combinations, product
+from itertools import chain, combinations, product, repeat
 
 import pytest
 
@@ -29,8 +29,27 @@ from zimin import (
 )
 import zimin.compressed
 import zimin.words
-from zimin.compressed import MAX_EXPONENT, _records
+from zimin.compressed import MAX_EXPONENT, _bits
 from zimin.words import _scan
+
+
+def _records(seq):
+    """Left-to-right maxima followed by right-to-left maxima of a
+    sequence whose maximum is unique, keeping that maximum once."""
+    prefix: list[int] = []
+    best = 0
+    for x in seq:
+        if x > best:
+            prefix.append(x)
+            best = x
+    suffix: list[int] = []
+    best = 0
+    for x in reversed(seq):
+        if x > best:
+            suffix.append(x)
+            best = x
+    suffix.reverse()
+    return tuple(prefix[:-1] + suffix)
 
 
 def test_compress_zimin_words():
@@ -858,3 +877,252 @@ def test_reduce_extended_huge_blocks_and_letters():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# The expansions and concatenations as they ran when Zimin words were
+# spelled as lists of ints and every part had its own walk and fold step,
+# kept as parity references for the bytes spelling and the one loop.
+def list_generate_zimin(k: int, max_order: int = zimin.words.DEFAULT_MAX_ORDER):
+    """Return Z_k as a tuple of letters."""
+    if k < 1:
+        raise ValueError(f"Zimin words are indexed from 1, got {k}")
+    if k > max_order:
+        raise SizeLimitError(f"Z_{k} has 2^{k} - 1 letters, above cap 2^{max_order} - 1")
+    word = [1]
+    for letter in range(2, k + 1):
+        word = word + [letter] + word
+    return tuple(word)
+
+
+def tuple_decompress(code, max_letters: int = zimin.compressed.DEFAULT_MAX_LETTERS):
+    code = validate_code(code)
+    if not code:
+        return ()
+    n = decompressed_length(code)
+    if n > max_letters:
+        raise SizeLimitError(f"decompressed word has {n} letters, cap is {max_letters}")
+    gaps = {}
+    out = [code[0]]
+    for a, b in zip(code, code[1:]):
+        m = min(a, b) - 1
+        if m > 0:
+            out.extend(gaps.get(m) or gaps.setdefault(m, list_generate_zimin(m)))
+        out.append(b)
+    return tuple(out)
+
+
+def tuple_expand_tokens(tokens, max_letters: int = zimin.compressed.DEFAULT_MAX_LETTERS):
+    total = 0
+    for tok in tokens:
+        if isinstance(tok, ZBlock):
+            total += 2 ** min(tok.order, max_letters.bit_length() + 1) - 1
+        else:
+            total += 1
+        if total > max_letters:
+            raise SizeLimitError(f"token expansion exceeds cap {max_letters}")
+    out = []
+    for tok in tokens:
+        if isinstance(tok, ZBlock):
+            out.extend(list_generate_zimin(tok.order))
+        else:
+            if tok < 1:
+                raise ValueError("letters must be positive integers")
+            out.append(tok)
+    return tuple(out)
+
+
+def walk_check_concatenation(parts) -> bool:
+    codes = [tuple(part) for part in parts]
+    cap = sum(map(len, codes))
+    walks = map(_walk, codes, repeat(cap))
+    return _fold(walks, cap) & all(walks)
+
+
+def _walk(code, cap: int):
+    start = end = peak = prev = 0
+    for x in code:
+        if x > peak and prev == peak:
+            if x > cap or x > 4096:
+                rest = code[code.index(x) :]
+                if not is_unimodal(rest) or rest[-1] < 1:
+                    validate_code(code)
+                i, top = rest.index(peak := max(rest)), min(peak, cap)
+                return peak, start | _bits(rest[: i + 1], top), _bits(rest[i:], top)
+            start |= (end := 1 << x)
+            peak = x
+        elif 0 < x < prev:
+            end |= 1 << x
+        else:
+            validate_code(code)
+        prev = x
+    return peak, start, end
+
+
+def _fold(sides, cap: int) -> bool:
+    a = end = 0
+    for b, start_b, end_b in sides:
+        m = a if a < b else b
+        if m > cap or (end ^ start_b) & (need := (2 << m) - 2) != need:
+            return False
+        a, end = (a if a > b else b), end & -(2 << m) | end_b
+    return True
+
+
+def records_compose(parts):
+    codes = [tuple(part) for part in parts]
+    if not walk_check_concatenation(codes):
+        raise NotAFactorError("concatenation is not a Zimin factor")
+    return _records([x for code in codes for x in code])
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, TypeError, NotAFactorError, SizeLimitError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_parity(parts):
+    got = _outcome(check_concatenation, parts)
+    assert got == _outcome(walk_check_concatenation, parts), parts
+    assert _outcome(compose, parts) == _outcome(records_compose, parts), parts
+    return got
+
+
+def test_bytes_spelling_equals_list_spelling():
+    for k in range(1, 18):
+        assert generate_zimin(k) == list_generate_zimin(k)
+    for args in ((0,), (-1,), (26,), (10**18,), (6, 5), (2.5,), (True,), (3, 0)):
+        assert _outcome(generate_zimin, *args) == _outcome(list_generate_zimin, *args), args
+    z = generate_zimin(8)
+    for i in range(len(z)):
+        for j in range(i + 1, len(z) + 1):
+            code = compress(z[i:j])
+            assert decompress(code) == tuple_decompress(code) == z[i:j]
+    rng = random.Random(43)
+    z = generate_zimin(17)
+    for _ in range(2000):
+        length = rng.randrange(1, (1 << rng.randrange(1, 17)) + 1)
+        start = rng.randrange(len(z) - length + 1)
+        code = compress(z[start : start + length])
+        assert decompress(code) == tuple_decompress(code)
+
+
+def test_bytes_spelling_keeps_big_letters_and_errors():
+    cases = [
+        ((3, 300, 2), {}),
+        ((1, 300), {}),
+        ((5000, 4, 1), {}),
+        ((2, 10**18, 7), {}),
+        ((1, 2, 300, 299, 5), {}),
+        ((10**18,), {}),
+        ((0,), {}),
+        ((1, 1), {}),
+        ((2, 1, 3), {}),
+        ((1, 2, 3, 2, 1), {"max_letters": 4}),
+        ((1, 30, 1), {}),
+        # past the letter cap, a gap past Z_25 is refused by its own order
+        ((28, 27, 1), {"max_letters": 2**40}),
+        ((27, 28, 29), {"max_letters": 2**40}),
+        ((1, 27, 30, 26), {"max_letters": 2**40}),
+    ]
+    for code, kwargs in cases:
+        got = _outcome(decompress, code, **kwargs)
+        assert got == _outcome(tuple_decompress, code, **kwargs), code
+    assert decompress((3, 300, 2)) == (3, 1, 2, 1, 300, 1, 2)
+    assert _outcome(decompress, (28, 27, 1), max_letters=2**40) == (
+        SizeLimitError, "Z_26 has 2^26 - 1 letters, above cap 2^25 - 1"
+    )
+    tokens = [
+        [ZBlock(3), 300, ZBlock(2), 5000],
+        [ZBlock(2), ZBlock(4), ZBlock(1), 10**18],
+        [0, ZBlock(26)],
+        [ZBlock(26), 0],
+        [ZBlock(26), ZBlock(27)],
+        [ZBlock(27), ZBlock(26)],
+        [ZBlock(3), "a"],
+        [ZBlock(3)] * 5,
+    ]
+    for toks in tokens:
+        assert _outcome(expand_tokens, toks, max_letters=2**40) == _outcome(
+            tuple_expand_tokens, toks, max_letters=2**40
+        ), toks
+    assert _outcome(expand_tokens, [ZBlock(9)]) == _outcome(tuple_expand_tokens, [ZBlock(9)])
+
+
+def _splits(word, parts):
+    """Every split of ``word`` into at most ``parts`` nonempty parts."""
+    for k in range(parts):
+        for cuts in combinations(range(1, len(word)), k):
+            bounds = (0, *cuts, len(word))
+            yield [word[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def test_one_loop_concatenation_equals_walk_and_fold_on_z6_splits():
+    """Every split into at most 4 parts of every window of Z_6 of at most
+    12 letters, as given and with two parts swapped."""
+    z = generate_zimin(6)
+    windows = {z[i:j] for i in range(len(z)) for j in range(i + 1, min(i + 12, len(z)) + 1)}
+    codes = {w: compress(w) for w in windows}  # every part is a window too
+    rng = random.Random(47)
+    outcomes = Counter()
+    for window in sorted(windows):
+        for split in _splits(window, 4):
+            parts = [codes[p] for p in split]
+            assert _assert_parity(parts) is True
+            assert compose(parts) == codes[window]
+            if len(parts) > 1:
+                i, j = rng.sample(range(len(parts)), 2)
+                parts[i], parts[j] = parts[j], parts[i]
+                outcomes[_assert_parity(parts)] += 1
+    assert outcomes[True] and outcomes[False]
+
+
+def test_one_loop_concatenation_big_letters_and_late_bad_parts():
+    cases = [
+        [(3, 300), (1, 2)],
+        [(300,), (1,), (2,)],
+        [(1, 5000, 3), (1,), (2, 1)],
+        [(5000,), (4999,)],
+        [(1, 10**18), (1,)],
+        [(2,), (10**18, 2), (1,)],
+        [(1, 300, 2), (1,), (5000, 1)],
+        # the junction fails at the second part; the third is still validated
+        [(1,), (1,), (0,)],
+        [(1,), (1,), (2, 1, 3)],
+        [(1, 2, 1), (2, 1), (1, 5000, 4999, 5000)],
+        [(2,), (2,), (3, 5000, 0)],
+        [(1,), (1,), (1.5,)],
+        [(1,), (1,), (1, 2), (0, 1)],
+    ]
+    for parts in cases:
+        _assert_parity(parts)
+    assert compose([(3, 300), (1, 2)]) == (3, 300, 2)
+
+
+def test_compose_and_check_agree_with_the_spelled_word_on_z12_windows():
+    rng = random.Random(53)
+    z = generate_zimin(12)
+    swapped = Counter()
+    for _ in range(600):
+        start = rng.randrange(len(z))
+        window = z[start : start + rng.randrange(1, 600)]
+        cuts = sorted(rng.sample(range(1, len(window)), min(len(window) - 1, rng.randrange(0, 10))))
+        bounds = (0, *cuts, len(window))
+        words = [window[a:b] for a, b in zip(bounds, bounds[1:])]
+        codes = [compress(w) for w in words]
+        assert compose(codes) == compress(window)
+        assert check_concatenation(codes) is True
+        for code in codes:
+            assert decompressed_length(code) == len(decompress(code))
+        if len(words) > 1:
+            i, j = rng.sample(range(len(words)), 2)
+            words[i], words[j] = words[j], words[i]
+            codes[i], codes[j] = codes[j], codes[i]
+            spelled = tuple(x for w in words for x in w)
+            ok = check_concatenation(codes)
+            assert ok is is_zimin_factor(spelled)
+            refused = (NotAFactorError, "concatenation is not a Zimin factor")
+            assert _outcome(compose, codes) == (compress(spelled) if ok else refused)
+            swapped[ok] += 1
+    assert swapped[True] and swapped[False]
