@@ -3,10 +3,10 @@
 All computation on matched instances happens in compressed form, so
 patterns whose instances have astronomical length stay cheap.  Modules:
 ``words`` for the words themselves and the factor test, ``compressed``
-for codes of factors, ``boundary`` for the junction flag systems,
-``matching`` for the embedding engine, ``avoidability`` for the two
-deciders, ``oracle`` for brute-force ground truth and the explicit-word
-reference construction.
+for codes of factors, ``boundary`` (no public name) for the junction
+systems, ``matching`` for the embedding engine, ``avoidability`` for the
+two deciders, ``oracle`` for brute-force ground truth and the
+explicit-word reference construction.
 
 ``import zimin`` loads none of them: each public name below imports its
 module on first use (PEP 562), so a process pays only for the modules
@@ -24,7 +24,6 @@ _EXPORTS = {
         "check_free_set", "delete_variables", "is_unavoidable_by_ranking",
         "is_unavoidable_by_reduction",
     ),
-    "boundary": ("AdjacencyGraph", "count_free_components", "first_last", "shortest_first_last"),
     "compressed": (
         "DEFAULT_MAX_LETTERS", "ZBlock", "block_code", "check_concatenation", "compose",
         "compress", "decompress", "decompressed_length", "expand_tokens", "extend",

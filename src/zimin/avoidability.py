@@ -1,20 +1,20 @@
 """Deciding whether a pattern is unavoidable.
 
-Two deciders over one clash table.  Deleting a free set F and placing a
-layer L under the placed set P both ask one question of a projection:
-forcing F (or L) pins every end side True and every start side False,
-so it clashes iff some component of the projection's junction graph
-(see ``boundary``) holds the end side of a member and the start side of
-a member.  The table of a shown set S lists each such component as an
-(ends, starts) pair of variable masks, so a test is a few mask ANDs,
-and each decider builds it once per S it reaches.  The reduction
+Two deciders over one clash table (see ``boundary``).  Deleting a free
+set F and placing a layer L under the placed set P both ask one
+question of a projection: forcing F (or L) pins every end side True and
+every start side False, so it clashes iff some component of the
+projection's junction graph holds the end side of a member and the
+start side of a member.  The table of a shown set S lists each such
+component as an (ends, starts) pair of variable masks, so a test is a
+few mask ANDs, and each decider builds it once per S it reaches;
+``check_free_set`` reads its witness off the same table.  The reduction
 method deletes free variable sets until the pattern vanishes,
 remembering dead patterns up to renaming; the ranking method searches,
 layer by layer from the top rank down, for a ranking admitting a
 match, remembering dead sets of placed variables.  Both characterize
 the same class, so they must always agree, which the test suite
-exploits; ``check_free_set`` still solves on ``AdjacencyGraph``,
-because its witness needs the pinned sides.
+exploits.
 
 Variable counts are capped: both searches are exponential in the number
 of distinct variables by nature.
@@ -26,7 +26,7 @@ from collections import namedtuple
 from enum import Enum
 from itertools import combinations
 
-from .boundary import _solve
+from .boundary import _clash_table
 from .errors import SizeLimitError
 from .matching import MatchResult, RankedPattern, compressed_embedding
 
@@ -50,18 +50,28 @@ def check_free_set(pattern, candidate):
     adjacent occurrence pair x y, and the candidate inside B minus A.
     With a_x = not last(x) and b_y = first(y) that is the junction
     system with the candidate forced, so the candidate is free iff
-    forcing it does not clash; A and B are the sides pinned that way.
+    forcing it does not clash.  A and B are then the end and start
+    sides in the components that hold a candidate's start side.
     """
     cand = frozenset(candidate)
     if not cand:
         raise ValueError("candidate free set must be nonempty")
-    solved = _solve(pattern, cand)
-    if solved is None:
-        return None
-    names, graph = solved
-    root, pins = graph.root, graph.pins
-    a_set = frozenset(x for i, x in enumerate(names) if pins.get(root[2 * i]) is False)
-    b_set = frozenset(x for i, x in enumerate(names) if pins.get(root[2 * i + 1]) is False)
+    names = tuple(dict.fromkeys(pattern))
+    bit = {v: 1 << i for i, v in enumerate(names)}
+    for var in cand:
+        if var not in bit:
+            raise ValueError(f"forced variable {var!r} does not occur in the pattern")
+    free = sum(map(bit.__getitem__, cand))
+    a = b = held = 0
+    for ends, starts in _clash_table(list(map(bit.__getitem__, pattern))):
+        held |= starts
+        if starts & free:
+            if ends & free:
+                return None
+            a |= ends
+            b |= starts
+    b |= free & ~held  # a candidate's start side in no pair is a component alone
+    a_set, b_set = (frozenset(v for v in names if bit[v] & m) for m in (a, b))
     return FreeSetWitness(cand, a_set, b_set)
 
 
@@ -76,31 +86,6 @@ def delete_variables(pattern, variables) -> tuple:
 # trace is ((pattern, deleted_set), ...) down to the empty pattern, and
 # nodes counts the dfs calls
 ReductionResult = namedtuple("ReductionResult", "verdict trace nodes", defaults=(0,))
-
-
-def _clash_table(masks) -> list:
-    """Clash table of a pattern given as one variable bit per symbol.
-
-    The junction graph joins x's end side to y's start side for every
-    adjacent pair x y.  Each component with an edge becomes a pair
-    (ends, starts) of the variables whose end sides and whose start
-    sides it holds.  Forcing a set F clashes iff some pair meets F in
-    both masks."""
-    before: dict = {}  # start side's bit -> bits of the variables just before it
-    for x, y in zip(masks, masks[1:]):
-        before[y] = before.get(y, 0) | x
-    table: list = []
-    for starts, ends in before.items():
-        kept = []
-        for e, s in table:
-            if e & ends:
-                ends |= e
-                starts |= s
-            else:
-                kept.append((e, s))
-        kept.append((ends, starts))
-        table = kept
-    return table
 
 
 def _canonical(pattern) -> tuple:

@@ -224,9 +224,8 @@ def cmd_avoid(args) -> int:
         nodes["ranking"] = rk.nodes
         if rk.ranking is not None:
             payload["ranking"] = {str(v): r for v, r in rk.ranking.items()}
-            lines.append(
-                "ranking: " + ", ".join(f"{v}={r}" for v, r in rk.ranking.items())
-            )
+        if rk.ranking:  # the empty pattern's ranking is {}
+            lines.append("ranking: " + ", ".join(f"{v}={r}" for v, r in rk.ranking.items()))
         if rk.match is not None:
             payload["valuation"] = _valuation_payload(rk.match.valuation)
     if args.method in ("reduction", "both"):

@@ -5,8 +5,8 @@ searches, match queries try every block split of every substring.  The
 point is an independent reference the fast implementations are tested
 against, so the oracles share no code with them.  The one exception is
 ``uncompressed_embedding``, the explicit-word construction of the
-canonical match: it solves each level with ``boundary.first_last``,
-which the engine no longer calls, and it prechecks with the engine's
+canonical match: it solves each level on ``boundary.AdjacencyGraph``,
+which the engine does not use, and it prechecks with the engine's
 ``validate_ranking``.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .boundary import first_last
+from .boundary import AdjacencyGraph
 from .compressed import DEFAULT_MAX_LETTERS
 from .errors import SizeLimitError
 from .matching import validate_ranking
@@ -134,7 +134,7 @@ def uncompressed_embedding(pattern, *, validate: bool = True, max_letters: int =
         forced = tuple(dict.fromkeys(s for s in proj if pattern.ranks[s] == level))
         for var in val:
             val[var] = apply_mu(val[var])
-        flags = first_last(proj, forced)
+        flags = AdjacencyGraph._level_flags(proj, forced)
         if flags is None:
             return None
         for var, (first, last) in flags.items():

@@ -6,8 +6,10 @@ max_rank down to 1, gap levels included, from its own per-level
 engine must give the same valuations, l, shortest matches and
 enumeration order.
 
-Below it, the 2-SAT solver over an implication graph, the reference that
-``tests/test_boundary.py`` checks the junction solver against.
+Its name-level helpers (``first_last``, ``shortest_first_last``,
+``count_free_components``) are the references for the library's
+junction code.  Below them, the 2-SAT solver over an implication graph,
+which ``tests/test_boundary.py`` checks those helpers against.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+from reference_engine import count_free_components
 from zimin import (
     MAX_VARIABLES,
     FreeSetWitness,
@@ -16,7 +17,6 @@ from zimin import (
     check_concatenation,
     check_free_set,
     compressed_embedding,
-    count_free_components,
     decompress,
     delete_variables,
     generate_zimin,
@@ -437,18 +437,48 @@ def test_layer_search_matches_oracle():
         assert (verdict is Verdict.UNAVOIDABLE) is matched, pattern
 
 
-def test_free_sets_match_reference():
-    # every nonempty candidate of every canonical pattern: the same None or
-    # the same witness as the dict union-find
-    pairs = 0
-    for pattern in canonical_patterns(max_vars=4, max_len=8):
+def _free_sets_match_reference(patterns):
+    """Every nonempty candidate of every pattern: the same None or the
+    same witness as the dict union-find.  Returns how many candidates
+    were tried and how many of them are free."""
+    pairs = free = 0
+    for pattern in patterns:
         variables = tuple(dict.fromkeys(pattern))
         for size in range(1, len(variables) + 1):
             for combo in combinations(variables, size):
                 pairs += 1
                 expected = reference_check_free_set(pattern, combo)
                 assert check_free_set(pattern, combo) == expected, (pattern, combo)
-    assert pairs == 42377
+                free += expected is not None
+    return pairs, free
+
+
+def test_free_sets_match_reference():
+    assert _free_sets_match_reference(canonical_patterns(max_vars=4, max_len=8)) == (42377, 5080)
+
+
+def _free_set_sample(rng, rounds):
+    """Squares, shuffles and random words on 5 to 8 variables."""
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    out = []
+    for _ in range(rounds):
+        k = rng.randint(5, 8)
+        v = rng.sample(letters, k)
+        out.append(v + rng.sample(v, k))  # a square u u'
+        shuffle = [x for x in v for _ in range(rng.choice((2, 3)))]
+        rng.shuffle(shuffle)
+        out.append(shuffle)
+        word = v + rng.choices(v, k=rng.randrange(2 * k))  # every variable at least once
+        rng.shuffle(word)
+        out.append(word)
+    return [tuple(p) for p in out]
+
+
+def test_free_sets_match_reference_past_four_variables():
+    patterns = _free_set_sample(random.Random(20), 12)
+    assert len(patterns) == 36
+    assert all(5 <= len(set(p)) <= 8 for p in patterns)
+    assert _free_sets_match_reference(patterns) == (4572, 163)
 
 
 def _assert_reduction_matches_reference(pattern, max_free_set_size=None):
@@ -491,8 +521,8 @@ def test_reduction_matches_reference_on_large_patterns():
 def layer_search_reference(pattern) -> RankingResult:
     """The layer search as it was when every node solved its own level
     system: the projection onto P | layer, with the layer forced, through
-    ``count_free_components``.  Same search order and memo, so the same
-    result, nodes included."""
+    the reference ``count_free_components``.  Same search order and memo,
+    so the same result, nodes included."""
     pattern = tuple(pattern)
     variables = tuple(dict.fromkeys(pattern))
     if not pattern:

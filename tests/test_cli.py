@@ -276,6 +276,16 @@ def test_avoid_unavoidable(capsys):
     assert lines[3] == "delete {b} from b"
 
 
+def test_avoid_empty_pattern(capsys):
+    # the empty pattern's ranking is {}: no "ranking:" line, but the JSON keeps it
+    assert run(capsys, "avoid", "") == (0, "UNAVOIDABLE\n", "")
+    code, payload, _ = run_json(capsys, "avoid", "")
+    assert code == 0
+    assert payload["verdict"] == "unavoidable"
+    assert payload["ranking"] == {} and payload["valuation"] == {}
+    assert payload["trace"] is None
+
+
 def test_avoid_json(capsys):
     code, payload, _ = run_json(capsys, "avoid", "aba")
     assert code == 0

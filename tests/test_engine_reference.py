@@ -17,15 +17,13 @@ from zimin import (
     EnumerationLimitError,
     RankedPattern,
     compressed_embedding,
-    count_free_components,
     count_instances,
     enumerate_instances,
-    first_last,
     instance_length,
-    shortest_first_last,
     shortest_instance,
     validate_ranking,
 )
+from zimin.boundary import AdjacencyGraph
 from zimin.compressed import decompressed_length
 from zimin.matching import _peel_events
 from zimin.verification import make_scaling_pattern
@@ -212,12 +210,7 @@ def test_name_level_helpers():
     for _ in range(1000):
         pattern = tuple(rng.choice("abcde") for _ in range(rng.randrange(0, 10)))
         forced = tuple(v for v in sorted(set(pattern)) if rng.random() < 0.4)
-        assert first_last(pattern, forced) == ref.first_last(pattern, forced)
-        assert shortest_first_last(pattern, forced) == ref.shortest_first_last(pattern, forced)
-        for minimize in (False, True):
-            assert count_free_components(pattern, forced, minimize) == ref.count_free_components(
-                pattern, forced, minimize
-            )
+        assert AdjacencyGraph._level_flags(pattern, forced) == ref.first_last(pattern, forced)
 
 
 def test_gapped_enumeration():

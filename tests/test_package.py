@@ -48,7 +48,7 @@ def test_package_import_loads_no_submodule():
 
 
 def test_every_public_name_is_listed_and_resolves():
-    assert len(zimin.__all__) == len(set(zimin.__all__)) == 58
+    assert len(zimin.__all__) == len(set(zimin.__all__)) == 54
     assert set(zimin.__all__) <= set(dir(zimin))
     for name in zimin.__all__:
         assert getattr(zimin, name) is not None, name
