@@ -60,7 +60,7 @@ def check_free_set(pattern, candidate):
     bit = {v: 1 << i for i, v in enumerate(names)}
     for var in cand:
         if var not in bit:
-            raise ValueError(f"forced variable {var!r} does not occur in the pattern")
+            raise ValueError(f"candidate free set holds {var!r}, which does not occur in the pattern")
     free = sum(map(bit.__getitem__, cand))
     a = b = held = 0
     for ends, starts in _clash_table(list(map(bit.__getitem__, pattern))):

@@ -36,8 +36,9 @@ bits of the free components that hold its sides to its code.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, namedtuple
-from itertools import chain
+from itertools import accumulate, chain
 
 from .compressed import decompressed_length, power_of_two
 from .errors import EnumerationLimitError, SizeLimitError
@@ -185,6 +186,14 @@ def _steps(events):
             yield level - 1, level - below - 1, ()
 
 
+def _shift(count, old, new):
+    """Move one slot of a counted side from neighbour old to new."""
+    count[new] += 1
+    count[old] -= 1
+    if not count[old]:
+        del count[old]
+
+
 def _run(pattern: RankedPattern, shortest: bool = False, collect=None, codes: bool = True):
     """Descend the distinct ranks, maintaining compressed values.
 
@@ -200,21 +209,29 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None, codes: bo
     interned in the order they enter, by rank and then last occurrence,
     both descending, so the active ones are always a prefix.
 
-    The junction components live across levels: a dict per vertex maps
-    each neighbour to its pair multiplicity, and a label per vertex names
-    its component.  A level inserts occurrences of its entering variables
-    only, so its insertions drop the pair (end[lft], start[rgt]) and add
-    pairs that each hold a new vertex and end[lft] or start[rgt].  So
-    only the components holding a touched old vertex (end[lft],
-    start[rgt]) can change: they are dissolved and rebuilt,
-    together with the new variables' vertices, by a search over the live
-    pairs.  A side's flag is the pin of its component when pinned, else
-    False for an end side and left[v] for a start side; left[v] changes
-    only when the start side of v is touched.  So flags are recomputed
-    only for rebuilt components and for components pinned at the
-    previous step.  The pins of a step are on new vertices, which are
-    rebuilt, or with ``shortest`` on the head's component, which was
-    pinned at the previous step too unless it was rebuilt.
+    The junction components live across levels, a label per vertex
+    naming its component.  Each side keeps one neighbour slot per
+    occurrence of its variable (for an end side the start side just
+    after it, for a start side the end side just before it, else the
+    sentinel vertex size), so re-inserting a position writes four slots
+    and a pair's multiplicity is the number of slots that hold it.  A
+    level's insertions drop the pair (end[lft], start[rgt]) and add
+    pairs that each hold a new vertex and end[lft] or start[rgt], so
+    only the components holding such an old vertex change: they are
+    dissolved and rebuilt, with the new vertices, by a search.  A side
+    with more than 8 slots is heavy.  On a level of few insertions, at
+    most an eighth of the slots of the heavy sides that entered before,
+    the search reads each of those through a Counter of its slots, kept
+    up to date slot by slot until a level of many insertions, so a
+    rebuild costs the distinct pairs of the component.  On other levels
+    it reads slots, which the many insertions pay for.  A side's flag is
+    the pin of its component when pinned, else False for an end side and
+    left[v] for a start side; left[v] changes only when the start side
+    of v is touched.  So flags are recomputed only for rebuilt components
+    and for components pinned at the previous step.  The pins of a step
+    are on new vertices, which are rebuilt, or with ``shortest`` on the
+    head's component, which was pinned at the previous step too unless
+    it was rebuilt.
 
     Each flag that turns True opens a run of letters at that step's top
     level; when it turns False, or at the end (level 1), the run closes
@@ -237,16 +254,30 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None, codes: bo
     symbols = pattern.symbols
     ranks = pattern.ranks
     n = len(symbols)
-    # by rank, then last occurrence, both descending
-    names = list(dict.fromkeys(symbols[rec[0]] for _, recs in events for rec in reversed(recs)))
-    ids = {var: i for i, var in enumerate(names)}
-    vid = [ids[s] for s in symbols]
+    ids: dict = {}  # by rank, then last occurrence, both descending
+    # each position's variable and index among that variable's occurrences
+    vid, idx, occ = [0] * n, [0] * n, [0] * n
+    for _, recs in events:
+        for pos, _, _ in reversed(recs):
+            v = vid[pos] = ids.setdefault(symbols[pos], len(ids))
+            idx[pos] = occ[v]
+            occ[v] += 1
+    names = list(ids)
     end = [2 * v for v in vid]
     start = [e + 1 for e in end]
     size = 2 * len(names)
 
-    adj = [{} for _ in range(size)]  # vertex -> {neighbour: pair multiplicity}
-    comp = [-1] * size  # component label, -1 until the vertex enters
+    # per side, one neighbour slot per occurrence; the sentinel size has none
+    nb = [[size] * occ[u >> 1] for u in range(size)]
+    nb.append(())
+    srch = nb[:]  # what a search reads: a side's slots, or a heavy side's Counter
+    # the variables with heavy sides, the slots of a side of each before it
+    heavy = [v for v in range(len(names)) if occ[v] > 8] if max(occ) > 8 else ()
+    heavy_slots = list(accumulate(map(occ.__getitem__, heavy), initial=0)) if heavy else ()
+    counted = 0  # the heavy variables whose sides srch counts
+    # component label, -1 until the vertex enters; the sentinel's 0 is no
+    # component's, so no search enters it
+    comp = [-1] * size + [0]
     members: dict[int, list] = {}  # label -> vertices
     pins: dict = {}  # label -> flag of the component's end sides, this step
     flag = [False] * size  # each side's flag at the last step
@@ -257,38 +288,47 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None, codes: bo
     left = [False] * len(names)
     entering = Counter(ranks.values())  # level -> variables of that rank
     head = -1
-    label = active = components = total_free = 0
+    label = active = total_free = 0
     steps = [] if collect is not None else None
 
     for top, weight, recs in _steps(events):
-        touched = set()  # labels of the components of touched vertices
+        above = active
+        active += entering[top]
+        fresh = list(range(2 * above, 2 * active))
+        if heavy and heavy[0] < above and recs:  # heavy sides entered before
+            old = bisect_left(heavy, above)
+            if 8 * len(recs) > heavy_slots[old]:  # many insertions: read slots
+                for v in heavy[:counted]:
+                    srch[2 * v], srch[2 * v + 1] = nb[2 * v], nb[2 * v + 1]
+                counted = 0
+            else:  # few: count the heavy sides, move the counts of rewritten slots
+                for v in heavy[counted:old]:
+                    srch[2 * v], srch[2 * v + 1] = Counter(nb[2 * v]), Counter(nb[2 * v + 1])
+                counted = old
+                for pos, lft, rgt in reversed(recs):
+                    a = end[lft] if lft >= 0 else size
+                    b = start[rgt] if rgt < n else size
+                    if srch[a] is not nb[a]:
+                        _shift(srch[a], b, start[pos])
+                    if srch[b] is not nb[b]:
+                        _shift(srch[b], a, end[pos])
         for pos, lft, rgt in reversed(recs):
+            k = idx[pos]
             if lft >= 0:
-                a, b = end[lft], start[pos]
-                if rgt < n:
-                    c = start[rgt]
-                    cnt = adj[a][c] - 1
-                    if cnt:
-                        adj[a][c] = adj[c][a] = cnt
-                    else:
-                        del adj[a][c], adj[c][a]
-                adj[a][b] = adj[b][a] = adj[a].get(b, 0) + 1
+                a = end[lft]
+                nb[a][idx[lft]] = b = start[pos]
+                nb[b][k] = a
                 left[vid[pos]] = True
-                touched.add(comp[a])
+                fresh += members.pop(comp[a], ())
             else:
                 head = pos
             if rgt < n:
-                a, b = end[pos], start[rgt]
-                adj[a][b] = adj[b][a] = adj[a].get(b, 0) + 1
+                b = start[rgt]
+                nb[b][idx[rgt]] = a = end[pos]
+                nb[a][k] = b
                 left[vid[rgt]] = True
-                touched.add(comp[b])
+                fresh += members.pop(comp[b], ())
 
-        above = active
-        active += entering[top]
-        touched.discard(-1)  # the touched side is a new vertex
-        fresh = list(range(2 * above, 2 * active))
-        for lab in touched:
-            fresh += members.pop(lab)
         for u in fresh:
             comp[u] = -1
         rebuilt = []  # fresh labels, so none is in prev
@@ -298,19 +338,18 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None, codes: bo
                 comp[u] = label
                 group = [u]
                 for x in group:
-                    for y in adj[x]:
+                    for y in srch[x]:
                         if comp[y] < 0:
                             comp[y] = label
                             group.append(y)
                 members[label] = group
                 rebuilt.append(label)
-        components += len(rebuilt) - len(touched)
 
         prev, pins = pins, {}
         for v in range(above, active):
             if not pins.setdefault(comp[2 * v], True) or pins.setdefault(comp[2 * v + 1], False):
                 return None
-        free = components - len(pins)
+        free = len(members) - len(pins)
         if steps is not None and free:
             # the entering variables are pinned, so free sides are old ones
             groups = sorted(sorted(group) for lab, group in members.items() if lab not in pins)

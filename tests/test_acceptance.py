@@ -350,3 +350,40 @@ def test_criterion_5_complexity_smoke():
         f"t({n//2})={t_half:.2f}s t({n})={t_full:.2f}s "
         f"cells={cells} length_bits={length.bit_length()}",
     )
+
+
+def _ruler_then_chain(k: int, m: int) -> RankedPattern:
+    """Z_k over x1..xk, each ranked m + its letter, then an ascending
+    chain of m fresh variables ranked 1..m."""
+    symbols = [f"x{v}" for v in generate_zimin(k)] + [f"c{j}" for j in range(1, m + 1)]
+    ranks = {f"x{v}": m + v for v in range(1, k + 1)}
+    ranks.update((f"c{j}", j) for j in range(1, m + 1))
+    return RankedPattern(symbols, ranks)
+
+
+def test_criterion_5_repeated_pairs_smoke():
+    """Each chain level inserts one c right after the word's last x1, so
+    it rewrites one slot of the end side of x1 (2^16 slots, 17 distinct
+    pairs) and rebuilds its component.  A rebuild that reads every slot
+    makes the time grow with m * 2^17; one that reads distinct pairs
+    keeps it near the cost of the word alone."""
+    k, m = 17, 2000
+
+    rp_short = _ruler_then_chain(k, m // 8)
+    t0 = perf_counter()
+    compressed_embedding(rp_short)
+    t_short = perf_counter() - t0
+
+    rp = _ruler_then_chain(k, m)
+    t0 = perf_counter()
+    result = compressed_embedding(rp)
+    t_full = perf_counter() - t0
+
+    ok = result is not None
+    ok &= t_full < 5.0
+    ok &= t_full <= 2.5 * max(t_short, 0.05)
+    assert _report(
+        "criterion 5, repeated pairs smoke test",
+        ok,
+        f"t(m={m // 8})={t_short:.2f}s t(m={m})={t_full:.2f}s",
+    )

@@ -58,11 +58,12 @@ def test_check_free_set_witnesses():
 
 
 def test_check_free_set_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be nonempty"):
         check_free_set(("a", "b"), ())
-    with pytest.raises(ValueError):
+    unknown = "candidate free set holds 'q', which does not occur in the pattern"
+    with pytest.raises(ValueError, match=unknown):
         check_free_set(("a", "b"), ("q",))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=unknown):
         check_free_set((), ("q",))
 
 

@@ -19,10 +19,12 @@ from zimin import (
     compressed_embedding,
     count_instances,
     enumerate_instances,
+    generate_zimin,
     instance_length,
     shortest_instance,
     validate_ranking,
 )
+from zimin import matching
 from zimin.boundary import AdjacencyGraph
 from zimin.compressed import decompressed_length
 from zimin.matching import _peel_events
@@ -172,12 +174,27 @@ def test_scaling_pattern():
     assert counts[0] == counts[1]
 
 
+def distinct_ruler(rng, length=300, shift=10, tail_first=False):
+    """The benchmark's distinct ruler: one variable per position of a
+    ruler window at a seeded offset, ranked its ruler value plus
+    ``shift``, and a descending tail of fresh variables over ranks
+    shift..1 before or after it, so that no level is empty."""
+    block = 1 << length.bit_length()
+    first = block * rng.randrange(1, 64) + rng.randrange(block - length)
+    body = [("x", p) for p in range(first + 1, first + length + 1)]
+    tail = [("t", rank) for rank in range(shift, 0, -1)]
+    ranks = {x: (x[1] & -x[1]).bit_length() + shift for x in body}
+    ranks.update((t, t[1]) for t in tail)
+    return RankedPattern(tail + body if tail_first else body + tail, ranks)
+
+
 def larger_universe():
     """1,500 seeded patterns with <= 11 variables, length <= 60 and ranks
     <= 13; 300 ruler-shaped patterns of <= 400 positions, each ruler value
     taken by one of up to three variables of that rank, so variables
-    repeat; and one chain plus ruler of top rank 100.  Their components
-    merge and split over many levels."""
+    repeat; one chain plus ruler of top rank 100; and four distinct
+    rulers of 300 positions, with the tail after and before in turn.
+    Their components merge and split over many levels."""
     rng = random.Random(9)
     for _ in range(1500):
         variables = range(rng.randrange(1, 12))
@@ -192,6 +209,8 @@ def larger_universe():
             symbols.append((value, rng.randrange(names[value])))
         yield RankedPattern(tuple(symbols), {s: s[0] for s in symbols})
     yield make_scaling_pattern(82 + 127, top_rank=100, ruler_max=7)
+    for seed in range(4):
+        yield distinct_ruler(random.Random(seed), tail_first=seed % 2)
 
 
 @pytest.mark.parametrize("ranks", ["dense", "3r+5"])
@@ -202,7 +221,98 @@ def test_larger_universe(ranks):
     if ranks == "3r+5":
         patterns = map(gapped, patterns)
     matched = sum(assert_same(pattern, enumerate_too=False) for pattern in patterns)
-    assert matched == 368
+    assert matched == 372
+
+
+def hub(m, l_ranks=None, ruler=False):
+    """The hub h l1 y1 h l2 y2 ... h lm ym, with rank(h) = m + 1, rank(l_j)
+    = l_ranks[j - 1] (j by default) and rank(y_j) = m + 1 + j.  Every
+    step inserts one l after an h, which touches the component that
+    holds the end side of h and the start side of every y still after
+    an h, and each side of h holds one slot per occurrence.  With
+    ``ruler`` the y's are one variable per ruler value v of j, ranked
+    m + 1 + v, and the pattern clashes from m = 3 on."""
+    symbols, ranks = [], {"h": m + 1}
+    for j, rank in enumerate(l_ranks or range(1, m + 1), 1):
+        value = (j & -j).bit_length() if ruler else j
+        y = ("y", value)
+        symbols += ["h", ("l", j), y]
+        ranks[("l", j)] = rank
+        ranks[y] = m + 1 + value
+    return RankedPattern(symbols, ranks)
+
+
+def hub_universe():
+    """The hub for m = 1..8: with l_j ranked j, with the l ranks shuffled
+    by a fixed seed, and with ruler-ranked y's."""
+    rng = random.Random(21)
+    for m in range(1, 9):
+        yield hub(m)
+        yield hub(m, rng.sample(range(1, m + 1), m))
+        yield hub(m, ruler=True)
+
+
+@pytest.mark.parametrize("ranks", ["dense", "3r+5"])
+def test_hub_family(ranks):
+    """Canonical, shortest, count and enumeration (limit 64) against the
+    per-level reference on the hub family, whose sides hold many slots,
+    with its own ranks and with ranks 3r + 5."""
+    patterns = hub_universe()
+    if ranks == "3r+5":
+        patterns = map(gapped, patterns)
+    assert sum(map(assert_same, patterns)) == 8 + 8 + 2
+
+
+def ruler_then_chain(k, chain_ranks, at=None, below=0):
+    """Z_k over x1..xk with a chain of fresh variables inserted at ``at``
+    (after the word by default).  The letters up to ``below`` are ranked
+    their letter, the chain is ranked below + chain_ranks, and the other
+    letters are ranked below + len(chain_ranks) + their letter.  With
+    ascending ranks after the word every chain step inserts one c right
+    after the word's last x1: it rewrites one slot of the end side of
+    x1, whose 2^(k-1) slots hold k distinct pairs, and rebuilds that
+    side's component.  With ``below`` a level of many insertions follows
+    the chain's levels of few."""
+    word = [("x", v) for v in generate_zimin(k)]
+    ranks = {x: x[1] + (0 if x[1] <= below else below + len(chain_ranks)) for x in word}
+    chain = [("c", j) for j in range(len(chain_ranks))]
+    ranks.update(zip(chain, (below + rank for rank in chain_ranks)))
+    at = len(word) if at is None else at
+    return RankedPattern(word[:at] + chain + word[at:], ranks)
+
+
+def counted_universe():
+    """Inputs with sides of more than 8 slots on levels of few insertions,
+    where the engine searches those sides through their counts: Z_4, Z_5
+    and Z_6 with chains of 1..10 fresh variables, ranked ascending,
+    descending and shuffled, after and inside the word, and ranked above
+    none, one or two of its letters; and the hub for m = 9..12, with l_j
+    ranked j and shuffled."""
+    rng = random.Random(22)
+    for k in (4, 5, 6):
+        for m in range(1, 11):
+            orders = (range(1, m + 1), range(m, 0, -1), rng.sample(range(1, m + 1), m))
+            for chain_ranks, below in product(orders, range(3)):
+                for at in (None, rng.randrange(1 << k)):
+                    yield ruler_then_chain(k, list(chain_ranks), at, below)
+    for m in range(9, 13):
+        yield hub(m)
+        yield hub(m, rng.sample(range(1, m + 1), m))
+
+
+@pytest.mark.parametrize("ranks", ["dense", "3r+5"])
+def test_counted_sides(ranks, monkeypatch):
+    """Canonical, shortest, count and enumeration (limit 64) against the
+    per-level reference where sides are searched through their counts,
+    and those counts are moved slot by slot on some of these inputs."""
+    moves = []
+    shift = matching._shift
+    monkeypatch.setattr(matching, "_shift", lambda *move: moves.append(move) or shift(*move))
+    patterns = counted_universe()
+    if ranks == "3r+5":
+        patterns = map(gapped, patterns)
+    assert sum(map(assert_same, patterns)) == 369
+    assert moves
 
 
 def test_name_level_helpers():
