@@ -20,29 +20,24 @@ __version__ = "0.1.0"
 # module -> the public names it defines
 _EXPORTS = {
     "avoidability": (
-        "MAX_VARIABLES", "FreeSetWitness", "RankingResult", "ReductionResult", "Verdict",
-        "check_free_set", "delete_variables", "is_unavoidable_by_ranking",
-        "is_unavoidable_by_reduction",
+        "FreeSetWitness", "RankingResult", "ReductionResult", "Verdict", "check_free_set",
+        "is_unavoidable_by_ranking", "is_unavoidable_by_reduction",
     ),
     "compressed": (
-        "DEFAULT_MAX_LETTERS", "ZBlock", "block_code", "check_concatenation", "compose",
-        "compress", "decompress", "decompressed_length", "expand_tokens", "extend",
-        "is_unimodal", "is_valid_code", "reduce_extended", "token_code", "validate_code",
+        "ZBlock", "check_concatenation", "compose", "compress", "decompress",
+        "decompressed_length", "expand_tokens", "extend", "reduce_extended", "validate_code",
     ),
     "errors": ("EnumerationLimitError", "NotAFactorError", "SizeLimitError", "ZiminError"),
     "matching": (
-        "DEFAULT_ENUM_LIMIT", "MatchResult", "RankedPattern", "RankingViolation",
-        "compressed_embedding", "count_instances", "enumerate_instances", "instance_length",
-        "min_instance_length", "shortest_instance", "validate_ranking",
+        "MatchResult", "RankedPattern", "RankingViolation", "compressed_embedding",
+        "count_instances", "enumerate_instances", "instance_length", "shortest_instance",
+        "validate_ranking",
     ),
     "oracle": (
-        "SUBSTRING_MAX_K", "OracleBudget", "oracle_count", "oracle_enumerate",
-        "oracle_is_factor", "oracle_min_length", "uncompressed_embedding",
+        "OracleBudget", "oracle_count", "oracle_enumerate", "oracle_is_factor",
+        "oracle_min_length", "uncompressed_embedding",
     ),
-    "words": (
-        "DEFAULT_MAX_ORDER", "apply_mu", "first_violation", "format_word", "generate_zimin",
-        "is_zimin_factor", "parse_word", "project",
-    ),
+    "words": ("first_violation", "generate_zimin", "is_zimin_factor"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

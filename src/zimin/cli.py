@@ -193,8 +193,6 @@ def cmd_count(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.limit < 0:
-        raise ValueError(f"--limit must be non-negative, got {args.limit}")
     rp = _ranked(args)
     instances = enumerate_instances(rp, limit=args.limit)
     lines = [

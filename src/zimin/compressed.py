@@ -63,14 +63,6 @@ def validate_code(code) -> Code:
     return code
 
 
-def is_valid_code(code) -> bool:
-    try:
-        validate_code(code)
-    except ValueError:
-        return False
-    return True
-
-
 def compress(word) -> Code:
     """Compute c(word), read off the binary digits of the peak's index p
     and of n - 1 - p.  Raises NotAFactorError on non-factors."""
@@ -265,14 +257,6 @@ class ZBlock:
 Token = int | ZBlock
 
 
-def block_code(order: int) -> Code:
-    """c(Z_order) = 1 2 ... order ... 2 1."""
-    if order < 1:
-        raise ValueError(f"block order must be >= 1, got {order}")
-    up = list(range(1, order + 1))
-    return tuple(up + up[-2::-1])
-
-
 def extend(code) -> list:
     """Rewrite a code as tokens, making the implicit Zimin gaps explicit.
 
@@ -288,12 +272,6 @@ def extend(code) -> list:
         if m > 0:
             tokens.append(blocks.get(m) or blocks.setdefault(m, ZBlock(m)))
     return tokens
-
-
-def token_code(token) -> Code:
-    if isinstance(token, ZBlock):
-        return block_code(token.order)
-    return (token,)
 
 
 def expand_tokens(tokens, max_letters: int = DEFAULT_MAX_LETTERS) -> Word:

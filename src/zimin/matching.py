@@ -422,7 +422,7 @@ def _spell(run):
 
 def _exceeds(l: int, limit: int) -> bool:
     """2**l > limit, without building 2**l."""
-    return limit < 0 or l >= limit.bit_length()
+    return l >= limit.bit_length()
 
 
 def compressed_embedding(pattern: RankedPattern):
@@ -461,7 +461,7 @@ def enumerate_instances(pattern: RankedPattern, limit: int = DEFAULT_ENUM_LIMIT)
     precede the code's peak, an end side's follow it.  Bit vectors come
     in product order over the components _run collects.  Raises
     EnumerationLimitError (carrying l) instead of materializing more
-    than ``limit`` results.
+    than ``limit`` results, and ValueError on a negative limit.
 
     A variable's code depends only on the bits of the components that
     hold its sides, so each variable keeps a table from its own bits to
@@ -469,6 +469,8 @@ def enumerate_instances(pattern: RankedPattern, limit: int = DEFAULT_ENUM_LIMIT)
     change, and only the codes of the variables they touch are looked
     up again: after the first match, each costs O(variables).
     """
+    if limit < 0:
+        raise ValueError(f"limit must be non-negative, got {limit}")
     run = _run(pattern, collect=limit)
     if run is None:
         return []
@@ -523,7 +525,3 @@ def instance_length(pattern: RankedPattern, valuation) -> int:
         for var, times in Counter(pattern.symbols).items()
     )
 
-
-def min_instance_length(pattern: RankedPattern):
-    res = shortest_instance(pattern)
-    return None if res is None else instance_length(pattern, res.valuation)

@@ -7,7 +7,8 @@ against, so the oracles share no code with them.  The one exception is
 ``uncompressed_embedding``, the explicit-word construction of the
 canonical match: it solves each level on ``boundary.AdjacencyGraph``,
 which the engine does not use, and it prechecks with the engine's
-``validate_ranking``.
+``validate_ranking``.  It owns the morphism mu (``apply_mu``) that
+carries explicit values from one level down to the next.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .boundary import AdjacencyGraph
 from .compressed import DEFAULT_MAX_LETTERS
 from .errors import SizeLimitError
 from .matching import validate_ranking
-from .words import apply_mu, generate_zimin
+from .words import Word, generate_zimin
 
 # a word with maximum letter M is a Zimin factor iff it occurs in Z_M
 SUBSTRING_MAX_K = 12
@@ -117,7 +118,22 @@ def oracle_min_length(pattern, budget: OracleBudget = OracleBudget()):
     return best
 
 
-def uncompressed_embedding(pattern, *, validate: bool = True, max_letters: int = DEFAULT_MAX_LETTERS):
+def apply_mu(word) -> Word:
+    """Apply the morphism 1 -> 121, i -> i+1 (for i >= 2).
+
+    Mu maps Z_n onto Z_{n+1} with the first and last letter removed, which
+    is what makes value propagation between consecutive ranks work.
+    """
+    out: list[int] = []
+    for x in word:
+        if x == 1:
+            out.extend((1, 2, 1))
+        else:
+            out.append(x + 1)
+    return tuple(out)
+
+
+def uncompressed_embedding(pattern, *, max_letters: int = DEFAULT_MAX_LETTERS):
     """Explicit-word reference construction of the canonical match.
 
     Works on fully spelled values: descending a level applies the
@@ -125,7 +141,7 @@ def uncompressed_embedding(pattern, *, validate: bool = True, max_letters: int =
     flags.  Values grow exponentially, hence the letter cap; meant for
     cross-checking the compressed engine, not for real inputs.
     """
-    if validate and validate_ranking(pattern):
+    if validate_ranking(pattern):
         return None
     seq = pattern.rank_sequence
     val: dict = {}

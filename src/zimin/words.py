@@ -10,6 +10,7 @@ themselves with j on one fixed parity class.  ``first_violation``
 implements that test by repeated halving, which is linear in the input
 length.  Level j keeps the odd class iff j fills the even one, so the
 classes kept spell the peak's index in binary, one digit per level.
+The morphism mu (Z_n into Z_{n+1}) lives in ``oracle``, its one user.
 """
 
 from __future__ import annotations
@@ -37,26 +38,6 @@ def _spell_zimin(k: int, max_order: int = DEFAULT_MAX_ORDER, word: bytes = b"") 
     for letter in range(len(word).bit_length() + 1, k + 1):
         word = bytes((letter,)).join((word, word))
     return word
-
-
-def apply_mu(word) -> Word:
-    """Apply the morphism 1 -> 121, i -> i+1 (for i >= 2).
-
-    Mu maps Z_n onto Z_{n+1} with the first and last letter removed, which
-    is what makes value propagation between consecutive ranks work.
-    """
-    out: list[int] = []
-    for x in word:
-        if x == 1:
-            out.extend((1, 2, 1))
-        else:
-            out.append(x + 1)
-    return tuple(out)
-
-
-def project(word, j: int) -> Word:
-    """Keep only the letters >= j."""
-    return tuple(x for x in word if x >= j)
 
 
 def first_violation(word):

@@ -7,7 +7,6 @@ import pytest
 
 from reference_engine import count_free_components
 from zimin import (
-    MAX_VARIABLES,
     FreeSetWitness,
     MatchResult,
     RankingResult,
@@ -18,7 +17,6 @@ from zimin import (
     check_free_set,
     compressed_embedding,
     decompress,
-    delete_variables,
     generate_zimin,
     is_unavoidable_by_ranking,
     is_unavoidable_by_reduction,
@@ -27,7 +25,7 @@ from zimin import (
     RankedPattern,
     validate_ranking,
 )
-from zimin.avoidability import _canonical
+from zimin.avoidability import MAX_VARIABLES, _canonical, delete_variables
 
 # the 15-symbol, 4-variable pattern built from two near-copies of the same
 # variable; no sequence of free-set deletions empties it

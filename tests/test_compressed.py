@@ -11,7 +11,6 @@ from zimin import (
     NotAFactorError,
     SizeLimitError,
     ZBlock,
-    block_code,
     check_concatenation,
     compose,
     compress,
@@ -20,16 +19,13 @@ from zimin import (
     expand_tokens,
     extend,
     generate_zimin,
-    is_unimodal,
-    is_valid_code,
     is_zimin_factor,
     reduce_extended,
-    token_code,
     validate_code,
 )
 import zimin.compressed
 import zimin.words
-from zimin.compressed import MAX_EXPONENT, _bits
+from zimin.compressed import MAX_EXPONENT, _bits, is_unimodal
 from zimin.words import _scan
 
 
@@ -142,16 +138,16 @@ def test_compress_rejects_non_factor():
 
 
 def test_code_validation():
-    assert is_valid_code((2, 4, 5, 3, 1))
-    assert is_valid_code((1,))
-    assert is_valid_code(())
-    assert not is_valid_code((1, 2, 2, 1))  # plateau
-    assert not is_valid_code((1, 3, 2, 3, 1))  # two peaks
-    assert not is_valid_code((2, 1, 3))  # not unimodal
+    for code in ((2, 4, 5, 3, 1), (1,), ()):
+        assert validate_code(code) == code
+    for code in ((1, 2, 2, 1), (1, 3, 2, 3, 1), (2, 1, 3)):  # plateau, two peaks, not unimodal
+        with pytest.raises(ValueError):
+            validate_code(code)
 
 
 def test_decompress_examples():
     assert decompress((1, 2, 3, 4, 3, 2, 1)) == generate_zimin(4)
+    assert decompress((1, 2, 3, 4, 5, 4, 3, 2, 1)) == generate_zimin(5)
     assert decompress((2, 4, 5, 3, 1)) == (
         2, 1, 4, 1, 2, 1, 3, 1, 2, 1, 5, 1, 2, 1, 3, 1,
     )
@@ -233,8 +229,11 @@ def test_round_trip_random_codes():
         up = sorted(rng.sample(range(1, peak + 1), rng.randrange(1, peak + 1)))
         down = sorted(rng.sample(range(1, peak), rng.randrange(0, peak)), reverse=True)
         code = tuple(up) + tuple(down)
-        if not is_valid_code(code):
+        if down and down[0] == up[-1]:  # a plateau
+            with pytest.raises(ValueError):
+                validate_code(code)
             continue
+        assert validate_code(code) == code
         word = decompress(code)
         assert is_zimin_factor(word)
         assert compress(word) == code
@@ -334,14 +333,6 @@ def test_compose_triples_rejecting():
         else:
             with pytest.raises(NotAFactorError):
                 compose(codes)
-
-
-def test_block_code():
-    assert block_code(1) == (1,)
-    assert block_code(3) == (1, 2, 3, 2, 1)
-    assert decompress(block_code(5)) == generate_zimin(5)
-    with pytest.raises(ValueError):
-        block_code(0)
 
 
 def test_extend_examples():
@@ -524,7 +515,9 @@ def reference_reduce_extended(tokens) -> list:
             merged[node] = lt + [tok] + rt
     result = merged[root]
 
-    if not reference_joins([token_code(tok) for tok in result]):
+    # c(Z_m) is 1, 2, ..., m, ..., 2, 1
+    codes = [(*range(1, t.order), *range(t.order, 0, -1)) if isinstance(t, ZBlock) else (t,) for t in result]
+    if not reference_joins(codes):
         raise NotAFactorError("token sequence does not spell a Zimin factor")
     return result
 
@@ -580,11 +573,6 @@ def test_reduce_extended_equals_reference():
             assert not _has_mergeable_triple(got), tokens
         outcomes[got if isinstance(got, type) else list] += 1
     assert outcomes == {list: 7308, NotAFactorError: 9089, ValueError: 5890}
-
-
-def test_token_code():
-    assert token_code(ZBlock(3)) == (1, 2, 3, 2, 1)
-    assert token_code(5) == (5,)
 
 
 def test_zblock_basics():

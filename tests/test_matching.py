@@ -19,7 +19,6 @@ from zimin import (
     enumerate_instances,
     instance_length,
     is_zimin_factor,
-    min_instance_length,
     oracle_count,
     shortest_instance,
     uncompressed_embedding,
@@ -112,7 +111,7 @@ def test_embedding_small_example():
     assert result.valuation == {"a": (2,), "b": (1,), "c": (3, 1)}
     assert result.free_components == 0
     assert count_instances(rp) == 1
-    assert min_instance_length(rp) == 6
+    assert instance_length(rp, shortest_instance(rp).valuation) == 6
     word = tuple(x for s in rp.symbols for x in decompress(result.valuation[s]))
     assert word == (1, 2, 1, 3, 1, 2)
 
@@ -188,6 +187,13 @@ def test_enumerate_limit_carries_count():
     assert enumerate_instances(rp, limit=16)[0] == {"x": (3,)}
 
 
+def test_enumerate_negative_limit_is_bad_input():
+    # refused alike whether the pattern matches or not
+    for rp in (RankedPattern(("x",), {"x": 3}), RankedPattern(("a", "a"), {"a": 1})):
+        with pytest.raises(ValueError, match="-1"):
+            enumerate_instances(rp, limit=-1)
+
+
 def test_single_variable_rank_two():
     rp = RankedPattern(("x",), {"x": 2})
     assert count_instances(rp) == 4
@@ -205,11 +211,10 @@ def test_no_match_on_forced_conflict():
     # but rank-1 values are exactly the letter 1 on both sides
     rp = RankedPattern(("a", "a"), {"a": 1})
     assert compressed_embedding(rp) is None
-    assert uncompressed_embedding(rp, validate=False) is None
+    assert uncompressed_embedding(rp) is None
     assert count_instances(rp) == 0
     assert enumerate_instances(rp) == []
     assert shortest_instance(rp) is None
-    assert min_instance_length(rp) is None
 
 
 def test_invalid_ranking_rejected_by_validation():
@@ -220,11 +225,13 @@ def test_invalid_ranking_rejected_by_validation():
 
 
 def test_conditions_are_not_sufficient():
-    # no condition is violated, yet a level system of the engine clashes,
-    # and the brute-force oracle finds no match either
+    # no condition is violated, yet a level system clashes in the engine
+    # and in the explicit-word reference, and the brute-force oracle finds
+    # no match either
     rp = RankedPattern(tuple("xyzxwy"), {"x": 3, "y": 2, "z": 4, "w": 1})
     assert validate_ranking(rp) == ()
     assert compressed_embedding(rp) is None
+    assert uncompressed_embedding(rp) is None
     assert oracle_count(rp) == 0
 
 
@@ -365,7 +372,6 @@ def test_shortest_instance_is_minimal():
         best = min(instance_length(rp, v) for v in values)
         short = shortest_instance(rp)
         assert instance_length(rp, short.valuation) == best
-        assert min_instance_length(rp) == best
 
 
 def test_instance_length_counts_occurrences():

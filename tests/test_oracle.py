@@ -13,12 +13,13 @@ from zimin import (
     decompress,
     enumerate_instances,
     generate_zimin,
+    instance_length,
     is_zimin_factor,
-    min_instance_length,
     oracle_count,
     oracle_enumerate,
     oracle_is_factor,
     oracle_min_length,
+    shortest_instance,
     validate_ranking,
 )
 
@@ -103,6 +104,6 @@ def test_oracle_cross_checks_fast_path():
                 tuple(decompress(v[s]) for s in rp.variables) for v in values
             }
             assert as_words == expected
-            assert min_instance_length(rp) == oracle_min_length(rp)
+            assert instance_length(rp, shortest_instance(rp).valuation) == oracle_min_length(rp)
         else:
             assert compressed_embedding(rp) is None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -48,13 +49,20 @@ def test_package_import_loads_no_submodule():
 
 
 def test_every_public_name_is_listed_and_resolves():
-    assert len(zimin.__all__) == len(set(zimin.__all__)) == 54
+    assert len(zimin.__all__) == len(set(zimin.__all__)) == 39
     assert set(zimin.__all__) <= set(dir(zimin))
     for name in zimin.__all__:
         assert getattr(zimin, name) is not None, name
     assert zimin.uncompressed_embedding.__module__ == "zimin.oracle"
     with pytest.raises(AttributeError, match="no_such_name"):
         zimin.no_such_name
+
+
+def test_readme_public_api_lists_all():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"`(\w+)`", section[section.index("\n- "):])  # the list, not the prose
+    assert sorted(names) == zimin.__all__
 
 
 RECORDS = [

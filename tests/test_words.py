@@ -7,16 +7,13 @@ import pytest
 
 from zimin import (
     SizeLimitError,
-    apply_mu,
     compress,
     first_violation,
-    format_word,
     generate_zimin,
     is_zimin_factor,
-    parse_word,
-    project,
 )
-from zimin.words import _scan
+from zimin.oracle import apply_mu
+from zimin.words import _scan, format_word, parse_word
 
 # Z_1 .. Z_4, written out once so nothing below depends on the generator.
 Z1 = (1,)
@@ -64,14 +61,6 @@ def test_apply_mu_letters():
     assert apply_mu((2,)) == (3,)
     assert apply_mu((1, 3, 2)) == (1, 2, 1, 4, 3)
     assert apply_mu(()) == ()
-
-
-def test_project_keeps_letters_at_least_j():
-    word = (1, 2, 1, 3, 1, 2, 1)
-    assert project(word, 1) == word
-    assert project(word, 2) == (2, 3, 2)
-    assert project(word, 3) == (3,)
-    assert project(word, 4) == ()
 
 
 @pytest.mark.parametrize(
