@@ -56,6 +56,7 @@ def check_free_set(pattern, candidate):
     cand = frozenset(candidate)
     if not cand:
         raise ValueError("candidate free set must be nonempty")
+    pattern = tuple(pattern)  # read twice: names, then the clash table
     names = tuple(dict.fromkeys(pattern))
     bit = {v: 1 << i for i, v in enumerate(names)}
     for var in cand:
@@ -98,6 +99,16 @@ def _canonical(pattern) -> tuple:
     return tuple(out)
 
 
+def _variables(pattern, search: str) -> tuple:
+    """The distinct variables; past MAX_VARIABLES, SizeLimitError naming the search."""
+    variables = tuple(dict.fromkeys(pattern))
+    if len(variables) > MAX_VARIABLES:
+        raise SizeLimitError(
+            f"{len(variables)} variables, {search} search is capped at {MAX_VARIABLES}"
+        )
+    return variables
+
+
 def is_unavoidable_by_reduction(pattern, max_free_set_size=None) -> ReductionResult:
     """Search for a chain of free deletions emptying the pattern.
 
@@ -109,11 +120,7 @@ def is_unavoidable_by_reduction(pattern, max_free_set_size=None) -> ReductionRes
     if max_free_set_size is not None and max_free_set_size < 1:
         raise ValueError(f"max_free_set_size must be at least 1, got {max_free_set_size}")
     pattern = tuple(pattern)
-    variables = tuple(dict.fromkeys(pattern))
-    if len(variables) > MAX_VARIABLES:
-        raise SizeLimitError(
-            f"{len(variables)} variables, reduction search is capped at {MAX_VARIABLES}"
-        )
+    variables = _variables(pattern, "reduction")
     if not pattern:
         return ReductionResult(Verdict.UNAVOIDABLE, ())
     complete = max_free_set_size is None or max_free_set_size >= len(variables)
@@ -175,14 +182,10 @@ def is_unavoidable_by_ranking(pattern) -> RankingResult:
     pattern is unavoidable iff some ranking matches, so a miss decides.
     """
     pattern = tuple(pattern)
-    variables = tuple(dict.fromkeys(pattern))
+    variables = _variables(pattern, "ranking")
     if not pattern:
         return RankingResult(Verdict.UNAVOIDABLE, {}, MatchResult({}, 0))
     k = len(variables)
-    if k > MAX_VARIABLES:
-        raise SizeLimitError(
-            f"{k} variables, ranking search is capped at {MAX_VARIABLES}"
-        )
 
     bit = {v: 1 << i for i, v in enumerate(variables)}
     masks = [bit[s] for s in pattern]

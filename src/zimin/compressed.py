@@ -21,12 +21,12 @@ smaller gap is a prefix of it.
 from __future__ import annotations
 
 from .errors import NotAFactorError, SizeLimitError
-from .words import Word, _scan, _spell_zimin
+from .words import MAX_ORDER, Word, _scan, _spell_zimin
 
 Code = tuple[int, ...]
 
-# decompress() refuses to materialize words longer than this
-DEFAULT_MAX_LETTERS = 2 ** 25 - 1
+# decompress() and expand_tokens() spell no word longer than Z_MAX_ORDER
+MAX_LETTERS = 2**MAX_ORDER - 1
 
 # the largest x for which a power 2**x (a count 2**l, a gap of
 # 2**(x-1) - 1 letters) is ever built; past it SizeLimitError is raised
@@ -111,24 +111,23 @@ def _bits(letters, top: int) -> int:
     return int.from_bytes(bits, "little")
 
 
-def decompress(code, max_letters: int = DEFAULT_MAX_LETTERS) -> Word:
+def decompress(code) -> Word:
     """Expand a code back into an explicit word.
 
     The gap between records a and b is Z_{min(a,b)-1}, empty when the
     smaller record is 1.  Each gap Z_m is the first 2^m - 1 bytes of the
-    largest gap so far, so the call spells its largest gap once.
+    largest gap so far, so the call spells its largest gap once.  Raises
+    SizeLimitError past MAX_LETTERS letters, before any is spelled.
     """
-    code = validate_code(code)
-    if not code:
-        return ()
-    n = decompressed_length(code)
-    if n > max_letters:
-        raise SizeLimitError(f"decompressed word has {n} letters, cap is {max_letters}")
-    z, out = b"", [code[0]]
+    code = tuple(code)
+    n = decompressed_length(code)  # validates the code
+    if n > MAX_LETTERS:
+        raise SizeLimitError(f"decompressed word has {n} letters, cap is {MAX_LETTERS}")
+    z, out = b"", list(code[:1])
     for a, b in zip(code, code[1:]):
         m = min(a, b) - 1
         if m > 0:
-            if m > len(z).bit_length():  # an order past the cap raises here
+            if m > len(z).bit_length():
                 z = _spell_zimin(m, word=z)
             out += z[: (1 << m) - 1]
         out.append(b)
@@ -274,21 +273,19 @@ def extend(code) -> list:
     return tokens
 
 
-def expand_tokens(tokens, max_letters: int = DEFAULT_MAX_LETTERS) -> Word:
-    """Explicit word spelled by a token sequence."""
-    total = 0
+def expand_tokens(tokens) -> Word:
+    """Explicit word spelled by a token sequence.  Raises SizeLimitError
+    on more than MAX_LETTERS letters, before any is spelled."""
+    tokens, total = list(tokens), 0  # read twice: counted, then spelled
     for tok in tokens:
-        if isinstance(tok, ZBlock):
-            # past the cap's bit length one block alone exceeds the cap
-            total += 2 ** min(tok.order, max_letters.bit_length() + 1) - 1
-        else:
-            total += 1
-        if total > max_letters:
-            raise SizeLimitError(f"token expansion exceeds cap {max_letters}")
+        # past MAX_ORDER one block alone exceeds the cap
+        total += 2 ** min(tok.order, MAX_ORDER + 1) - 1 if isinstance(tok, ZBlock) else 1
+        if total > MAX_LETTERS:
+            raise SizeLimitError(f"token expansion exceeds cap {MAX_LETTERS}")
     z, out = b"", []  # every block is a prefix of the largest so far
     for tok in tokens:
         if isinstance(tok, ZBlock):
-            if tok.order > len(z).bit_length():  # an order past the cap raises here
+            if tok.order > len(z).bit_length():
                 z = _spell_zimin(tok.order, word=z)
             out += z[: (1 << tok.order) - 1]
         else:

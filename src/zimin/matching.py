@@ -39,6 +39,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter, namedtuple
 from itertools import accumulate, chain
+from operator import itemgetter
 
 from .compressed import decompressed_length, power_of_two
 from .errors import EnumerationLimitError, SizeLimitError
@@ -120,18 +121,10 @@ def validate_ranking(pattern: RankedPattern):
     engine decide.
     """
     seq = pattern.rank_sequence
-    violations = []
-    stack: list = []  # (rank, position), ranks strictly decreasing
-    for pos, rank in enumerate(seq):
-        while stack and stack[-1][0] < rank:
-            stack.pop()
-        if stack and stack[-1][0] == rank:
-            violations.append(
-                RankingViolation("equal-ranks-unseparated", (stack[-1][1], pos))
-            )
-            stack[-1] = (rank, pos)
-        else:
-            stack.append((rank, pos))
+    violations = [
+        RankingViolation("equal-ranks-unseparated", pair)
+        for pair in sorted(_peel(seq)[1], key=itemgetter(1))
+    ]
     top = max(seq)
     tops = tuple(pos for pos, rank in enumerate(seq) if rank == top)
     if len(tops) > 1:
@@ -139,51 +132,38 @@ def validate_ranking(pattern: RankedPattern):
     return tuple(violations)
 
 
-def _peel_events(pattern: RankedPattern):
-    """Deletion records of the projection linked list, per distinct rank
-    from the top down, or None when the ranking breaks a condition.
+def _peel(seq):
+    """(steps, pairs) of the rank sequence ``seq``, peeled off the
+    projection linked list from the bottom rank up, O(1) per position.
 
-    Replayed in reverse they re-insert the rank-i positions when the
-    engine descends to level i, so every position costs O(1) overall.
-    The same scan checks both conditions of validate_ranking: the top
-    rank occurs once, and no rank-i position has a rank-i right
-    neighbour in the projection onto ranks >= i.
+    Steps run top down as (top level, levels spanned, deletion records):
+    one per distinct rank, whose records the engine replays in reverse,
+    and one more per gap of unforced levels below it.  A pair (p, q) is
+    a rank-i position p whose right neighbour q in the projection onto
+    ranks >= i has rank i too; two top-rank positions always form one.
     """
-    seq = pattern.rank_sequence
-    if seq.count(max(seq)) > 1:
-        return None  # max-rank-repeated
     n = len(seq)
     by_rank: dict[int, list[int]] = {}
     for pos, rank in enumerate(seq):
         by_rank.setdefault(rank, []).append(pos)
-    levels = sorted(by_rank)
-    prv = list(range(-1, n - 1))
-    nxt = list(range(1, n + 1))
-    events = []
-    for level in levels:
-        recs = []
+    prv, nxt = list(range(-1, n - 1)), list(range(1, n + 1))
+    steps, pairs, below = [], [], 0
+    for level in sorted(by_rank):
+        if level - below > 1:
+            steps.append((level - 1, level - below - 1, ()))
+        steps.append((level, 1, recs := []))
         for pos in by_rank[level]:
             left, right = prv[pos], nxt[pos]
             if right < n:
                 if seq[right] == level:
-                    return None  # equal-ranks-unseparated
+                    pairs.append((pos, right))
                 prv[right] = left
             if left >= 0:
                 nxt[left] = right
             recs.append((pos, left, right))
-        events.append((level, recs))
-    events.reverse()
-    return events
-
-
-def _steps(events):
-    """The engine's steps, top down, as (top level, levels spanned,
-    insertion records): each distinct rank is one step, and the gap of
-    unforced levels below it, if there is one, is one more."""
-    for (level, recs), (below, _) in zip(events, events[1:] + [(0, ())]):
-        yield level, 1, recs
-        if level - below > 1:
-            yield level - 1, level - below - 1, ()
+        below = level
+    steps.reverse()
+    return steps, pairs
 
 
 def _shift(count, old, new):
@@ -197,10 +177,10 @@ def _shift(count, old, new):
 def _run(pattern: RankedPattern, shortest: bool = False, collect=None, codes: bool = True):
     """Descend the distinct ranks, maintaining compressed values.
 
-    Returns None when the ranking breaks a condition, which the peel scan
-    finds before any level is walked, or when a level system clashes,
-    which some rankings that break neither condition also do (see
-    validate_ranking).  Else returns (l, steps, spelled).  Without
+    Returns None when the ranking breaks a condition, which a count of
+    the top rank or a pair of _peel finds before any level is walked, or
+    when a level system clashes, which some rankings that break neither
+    condition also do.  Else returns (l, steps, spelled).  Without
     ``codes`` (a count) no flag is kept and spelled is None; else it is
     (names, ranks, runs, cells): runs[2v] and runs[2v + 1] list the
     letter runs of the end and start side of the v-th variable of names
@@ -248,16 +228,19 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None, codes: bo
     level's free components in order of their smallest vertex; else
     steps is None.
     """
-    events = _peel_events(pattern)
-    if events is None:
-        return None
+    seq = pattern.rank_sequence
+    if seq.count(max(seq)) > 1:
+        return None  # max-rank-repeated, found at C speed
+    peeled, pairs = _peel(seq)
+    if pairs:
+        return None  # equal-ranks-unseparated
     symbols = pattern.symbols
     ranks = pattern.ranks
     n = len(symbols)
     ids: dict = {}  # by rank, then last occurrence, both descending
     # each position's variable and index among that variable's occurrences
     vid, idx, occ = [0] * n, [0] * n, [0] * n
-    for _, recs in events:
+    for _, _, recs in peeled:
         for pos, _, _ in reversed(recs):
             v = vid[pos] = ids.setdefault(symbols[pos], len(ids))
             idx[pos] = occ[v]
@@ -291,7 +274,7 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None, codes: bo
     label = active = total_free = 0
     steps = [] if collect is not None else None
 
-    for top, weight, recs in _steps(events):
+    for top, weight, recs in peeled:
         above = active
         active += entering[top]
         fresh = list(range(2 * above, 2 * active))

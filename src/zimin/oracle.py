@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .boundary import AdjacencyGraph
-from .compressed import DEFAULT_MAX_LETTERS
+from .compressed import MAX_LETTERS
 from .errors import SizeLimitError
 from .matching import validate_ranking
 from .words import Word, generate_zimin
@@ -32,15 +32,15 @@ def _as_string(word) -> str:
     return "".join(map(chr, word))
 
 
-def oracle_is_factor(word, max_k: int = SUBSTRING_MAX_K) -> bool:
+def oracle_is_factor(word) -> bool:
     word = tuple(word)
     if not word:
         return True
     if min(word) < 1:
         raise ValueError("letters must be positive integers")
     top = max(word)
-    if top > max_k:
-        raise SizeLimitError(f"explicit check needs Z_{top}, cap is Z_{max_k}")
+    if top > SUBSTRING_MAX_K:
+        raise SizeLimitError(f"explicit check needs Z_{top}, cap is Z_{SUBSTRING_MAX_K}")
     return _as_string(word) in _as_string(generate_zimin(top))
 
 
@@ -133,13 +133,14 @@ def apply_mu(word) -> Word:
     return tuple(out)
 
 
-def uncompressed_embedding(pattern, *, max_letters: int = DEFAULT_MAX_LETTERS):
+def uncompressed_embedding(pattern):
     """Explicit-word reference construction of the canonical match.
 
     Works on fully spelled values: descending a level applies the
     morphism and then fixes up the boundary letters per the solved
-    flags.  Values grow exponentially, hence the letter cap; meant for
-    cross-checking the compressed engine, not for real inputs.
+    flags.  Values grow exponentially, so past compressed.MAX_LETTERS
+    letters in all it raises SizeLimitError; meant for cross-checking
+    the compressed engine, not for real inputs.
     """
     if validate_ranking(pattern):
         return None
@@ -167,6 +168,6 @@ def uncompressed_embedding(pattern, *, max_letters: int = DEFAULT_MAX_LETTERS):
             elif not last and word[-1] == 1:
                 word = word[:-1]
             val[var] = word
-        if sum(map(len, val.values())) > max_letters:
-            raise SizeLimitError(f"explicit values exceed cap {max_letters}")
+        if sum(map(len, val.values())) > MAX_LETTERS:
+            raise SizeLimitError(f"explicit values exceed cap {MAX_LETTERS}")
     return val

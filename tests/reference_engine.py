@@ -10,6 +10,11 @@ Its name-level helpers (``first_last``, ``shortest_first_last``,
 ``count_free_components``) are the references for the library's
 junction code.  Below them, the 2-SAT solver over an implication graph,
 which ``tests/test_boundary.py`` checks those helpers against.
+
+``reference_validate_ranking``, the stack scan of the ranking
+conditions, is the reference for ``validate_ranking``.  The enumeration
+prechecks with it, so the reference shares no ranking code with the
+library.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from zimin.errors import EnumerationLimitError
-from zimin.matching import DEFAULT_ENUM_LIMIT, RankedPattern, validate_ranking
+from zimin.matching import DEFAULT_ENUM_LIMIT, RankedPattern, RankingViolation
 
 END = "end"
 START = "start"
@@ -212,12 +217,43 @@ def _peel_events(pattern: RankedPattern):
     return events
 
 
+def reference_validate_ranking(pattern: RankedPattern):
+    """Violations of the two matchability conditions, in scan order, by a
+    stack of strictly decreasing ranks: the reference for the library's
+    ``validate_ranking``, which reads them off its peel scan.
+
+    (equal-ranks-unseparated) two equal ranks with nothing larger in
+    between, (max-rank-repeated) the top rank occurring more than once.
+    Both conditions are necessary, not sufficient: a ranking with a
+    violation admits no match, but ``xyzxwy`` with x=3, y=2, z=4, w=1
+    has none and admits no match either.
+    """
+    seq = pattern.rank_sequence
+    violations = []
+    stack: list = []  # (rank, position), ranks strictly decreasing
+    for pos, rank in enumerate(seq):
+        while stack and stack[-1][0] < rank:
+            stack.pop()
+        if stack and stack[-1][0] == rank:
+            violations.append(
+                RankingViolation("equal-ranks-unseparated", (stack[-1][1], pos))
+            )
+            stack[-1] = (rank, pos)
+        else:
+            stack.append((rank, pos))
+    top = max(seq)
+    tops = tuple(pos for pos, rank in enumerate(seq) if rank == top)
+    if len(tops) > 1:
+        violations.append(RankingViolation("max-rank-repeated", tops))
+    return tuple(violations)
+
+
 def _run(pattern: RankedPattern, shortest: bool = False, collect: bool = False):
     """Descend levels max_rank..1, maintaining compressed values.
 
     Returns (valuation, l, steps) or None when a level system clashes.
     Every ranking that violates a condition clashes, and so do some that
-    violate none (see validate_ranking).
+    violate none (see reference_validate_ranking).
     """
     symbols = pattern.symbols
     ranks = pattern.ranks
@@ -298,7 +334,7 @@ def enumerate_instances(pattern: RankedPattern, limit: int = DEFAULT_ENUM_LIMIT)
     EnumerationLimitError (carrying the count) instead of materializing
     more than ``limit`` results.
     """
-    if validate_ranking(pattern):
+    if reference_validate_ranking(pattern):
         return []
     probe = _run(pattern)
     if probe is None:

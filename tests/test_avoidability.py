@@ -49,6 +49,7 @@ def test_check_free_set_witnesses():
     assert w.b_set == frozenset({"x"})
 
     assert check_free_set(("x", "y"), ("x", "y")) is None
+    assert check_free_set(iter("aa"), ("a",)) is None  # a one-shot pattern is read once
 
     w = check_free_set(("a", "b", "a"), ("a",))
     assert w.a_set == frozenset({"b"})

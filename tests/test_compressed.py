@@ -192,21 +192,27 @@ def test_decompressed_length_matches_gap_sum():
         assert decompressed_length(code) == len(code) + gaps
 
 
-def test_expand_tokens_huge_block():
+def test_expand_tokens_huge_block(monkeypatch):
     with pytest.raises(SizeLimitError):
         expand_tokens([ZBlock(10**18)])
-    with pytest.raises(SizeLimitError):
-        expand_tokens([ZBlock(3)], max_letters=6)
-    assert expand_tokens([ZBlock(3)], max_letters=7) == generate_zimin(3)
+    # the cap is exact: Z_3 has 7 letters
+    monkeypatch.setattr(zimin.compressed, "MAX_LETTERS", 6)
+    with pytest.raises(SizeLimitError, match="^token expansion exceeds cap 6$"):
+        expand_tokens([ZBlock(3)])
+    monkeypatch.setattr(zimin.compressed, "MAX_LETTERS", 7)
+    assert expand_tokens([ZBlock(3)]) == generate_zimin(3)
 
 
-def test_decompress_size_cap():
+def test_decompress_size_cap(monkeypatch):
     big = tuple(range(1, 201)) + tuple(range(199, 0, -1))
     with pytest.raises(SizeLimitError):
         decompress(big)
-    # explicit budget
-    with pytest.raises(SizeLimitError):
-        decompress((1, 2, 3, 2, 1), max_letters=4)
+    # the cap is exact: 1,2,3,2,1 spells the 7 letters of Z_3
+    monkeypatch.setattr(zimin.compressed, "MAX_LETTERS", 6)
+    with pytest.raises(SizeLimitError, match="^decompressed word has 7 letters, cap is 6$"):
+        decompress((1, 2, 3, 2, 1))
+    monkeypatch.setattr(zimin.compressed, "MAX_LETTERS", 7)
+    assert decompress((1, 2, 3, 2, 1)) == generate_zimin(3)
 
 
 def test_round_trip_all_factors_of_z7():
@@ -350,7 +356,7 @@ def test_extend_expands_to_original_word():
         i = rng.randrange(len(z6))
         j = rng.randrange(i + 1, len(z6) + 1)
         code = compress(z6[i:j])
-        assert expand_tokens(extend(code)) == z6[i:j]
+        assert expand_tokens(extend(code)) == expand_tokens(iter(extend(code))) == z6[i:j]
 
 
 def reference_extend(code):
@@ -870,8 +876,10 @@ def test_reduce_extended_huge_blocks_and_letters():
 # The expansions and concatenations as they ran when Zimin words were
 # spelled as lists of ints and every part had its own walk and fold step,
 # kept as parity references for the bytes spelling and the one loop.
-def list_generate_zimin(k: int, max_order: int = zimin.words.DEFAULT_MAX_ORDER):
+# Each reads the library's cap at call time, so a test can move both.
+def list_generate_zimin(k: int):
     """Return Z_k as a tuple of letters."""
+    max_order = zimin.words.MAX_ORDER
     if k < 1:
         raise ValueError(f"Zimin words are indexed from 1, got {k}")
     if k > max_order:
@@ -882,7 +890,8 @@ def list_generate_zimin(k: int, max_order: int = zimin.words.DEFAULT_MAX_ORDER):
     return tuple(word)
 
 
-def tuple_decompress(code, max_letters: int = zimin.compressed.DEFAULT_MAX_LETTERS):
+def tuple_decompress(code):
+    max_letters = zimin.compressed.MAX_LETTERS
     code = validate_code(code)
     if not code:
         return ()
@@ -899,7 +908,8 @@ def tuple_decompress(code, max_letters: int = zimin.compressed.DEFAULT_MAX_LETTE
     return tuple(out)
 
 
-def tuple_expand_tokens(tokens, max_letters: int = zimin.compressed.DEFAULT_MAX_LETTERS):
+def tuple_expand_tokens(tokens):
+    max_letters = zimin.compressed.MAX_LETTERS
     total = 0
     for tok in tokens:
         if isinstance(tok, ZBlock):
@@ -977,11 +987,15 @@ def _assert_parity(parts):
     return got
 
 
-def test_bytes_spelling_equals_list_spelling():
+def test_bytes_spelling_equals_list_spelling(monkeypatch):
     for k in range(1, 18):
         assert generate_zimin(k) == list_generate_zimin(k)
-    for args in ((0,), (-1,), (26,), (10**18,), (6, 5), (2.5,), (True,), (3, 0)):
+    for args in ((0,), (-1,), (26,), (10**18,), (2.5,), (True,)):
         assert _outcome(generate_zimin, *args) == _outcome(list_generate_zimin, *args), args
+    with monkeypatch.context() as patch:  # the cap is exact in both
+        patch.setattr(zimin.words, "MAX_ORDER", 5)
+        for k in (5, 6):
+            assert _outcome(generate_zimin, k) == _outcome(list_generate_zimin, k), k
     z = generate_zimin(8)
     for i in range(len(z)):
         for j in range(i + 1, len(z) + 1):
@@ -996,30 +1010,26 @@ def test_bytes_spelling_equals_list_spelling():
         assert decompress(code) == tuple_decompress(code)
 
 
-def test_bytes_spelling_keeps_big_letters_and_errors():
+def test_bytes_spelling_keeps_big_letters_and_errors(monkeypatch):
     cases = [
-        ((3, 300, 2), {}),
-        ((1, 300), {}),
-        ((5000, 4, 1), {}),
-        ((2, 10**18, 7), {}),
-        ((1, 2, 300, 299, 5), {}),
-        ((10**18,), {}),
-        ((0,), {}),
-        ((1, 1), {}),
-        ((2, 1, 3), {}),
-        ((1, 2, 3, 2, 1), {"max_letters": 4}),
-        ((1, 30, 1), {}),
-        # past the letter cap, a gap past Z_25 is refused by its own order
-        ((28, 27, 1), {"max_letters": 2**40}),
-        ((27, 28, 29), {"max_letters": 2**40}),
-        ((1, 27, 30, 26), {"max_letters": 2**40}),
+        (3, 300, 2),
+        (1, 300),
+        (5000, 4, 1),
+        (2, 10**18, 7),
+        (1, 2, 300, 299, 5),
+        (10**18,),
+        (0,),
+        (1, 1),
+        (2, 1, 3),
+        (1, 30, 1),
+        (28, 27, 1),
     ]
-    for code, kwargs in cases:
-        got = _outcome(decompress, code, **kwargs)
-        assert got == _outcome(tuple_decompress, code, **kwargs), code
+    for code in cases:
+        assert _outcome(decompress, code) == _outcome(tuple_decompress, code), code
     assert decompress((3, 300, 2)) == (3, 1, 2, 1, 300, 1, 2)
-    assert _outcome(decompress, (28, 27, 1), max_letters=2**40) == (
-        SizeLimitError, "Z_26 has 2^26 - 1 letters, above cap 2^25 - 1"
+    # a gap past Z_25 alone is past the letter cap, so it is never spelled
+    assert _outcome(decompress, (28, 27, 1)) == (
+        SizeLimitError, f"decompressed word has {2**26 + 2} letters, cap is {2**25 - 1}"
     )
     tokens = [
         [ZBlock(3), 300, ZBlock(2), 5000],
@@ -1032,10 +1042,14 @@ def test_bytes_spelling_keeps_big_letters_and_errors():
         [ZBlock(3)] * 5,
     ]
     for toks in tokens:
-        assert _outcome(expand_tokens, toks, max_letters=2**40) == _outcome(
-            tuple_expand_tokens, toks, max_letters=2**40
-        ), toks
+        assert _outcome(expand_tokens, toks) == _outcome(tuple_expand_tokens, toks), toks
     assert _outcome(expand_tokens, [ZBlock(9)]) == _outcome(tuple_expand_tokens, [ZBlock(9)])
+    for cap in (6, 7):  # the cap is exact in both: 1,2,3,2,1 and Z_3 spell 7 letters
+        monkeypatch.setattr(zimin.compressed, "MAX_LETTERS", cap)
+        code = (1, 2, 3, 2, 1)
+        assert _outcome(decompress, code) == _outcome(tuple_decompress, code), cap
+        toks = [ZBlock(3)]
+        assert _outcome(expand_tokens, toks) == _outcome(tuple_expand_tokens, toks), cap
 
 
 def _splits(word, parts):

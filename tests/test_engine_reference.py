@@ -27,7 +27,7 @@ from zimin import (
 from zimin import matching
 from zimin.boundary import AdjacencyGraph
 from zimin.compressed import decompressed_length
-from zimin.matching import _peel_events
+from zimin.matching import _peel
 from zimin.verification import make_scaling_pattern
 
 ENUM_LIMIT = 64
@@ -123,16 +123,42 @@ def assert_no_match(pattern):
     assert enumerate_instances(pattern) == []
 
 
+def random_rankings():
+    """20,000 seeded rankings of <= 24 positions over <= 24 variables,
+    ranks drawn from 1..m for a random m <= 7, so that both conditions
+    break often and in every combination."""
+    rng = random.Random(23)
+    for _ in range(20000):
+        n = rng.randrange(1, 25)
+        symbols = [rng.randrange(rng.randrange(1, n + 1)) for _ in range(n)]
+        m = rng.randrange(1, 8)
+        yield RankedPattern(symbols, {v: rng.randrange(1, m + 1) for v in set(symbols)})
+
+
+@pytest.mark.parametrize("universe", [small_universe, seeded_universe, random_rankings])
+def test_validate_ranking_equals_stack_scan(universe):
+    """validate_ranking, read off the peel scan, reports the same
+    violations as the reference stack scan, kinds, positions and order,
+    dense and with ranks 3r + 5."""
+    for dense in universe():
+        for pattern in (dense, gapped(dense)):
+            assert validate_ranking(pattern) == ref.reference_validate_ranking(pattern), pattern
+
+
+def _rejected(pattern):
+    return bool(_peel(pattern.rank_sequence)[1])
+
+
 @pytest.mark.parametrize("universe", [small_universe, seeded_universe])
 def test_peel_scan_rejects_exactly_the_broken_rankings(universe):
-    """The peel scan returns None exactly when validate_ranking reports a
-    violation, dense and with ranks 3r + 5, and then every product
-    answers no match."""
+    """The peel scan finds a pair exactly when the reference stack scan
+    reports a violation, dense and with ranks 3r + 5, and then every
+    product answers no match."""
     broken = 0
     for dense in universe():
         for pattern in (dense, gapped(dense)):
-            rejected = _peel_events(pattern) is None
-            assert rejected == bool(validate_ranking(pattern)), pattern
+            rejected = _rejected(pattern)
+            assert rejected == bool(ref.reference_validate_ranking(pattern)), pattern
             if rejected:
                 assert_no_match(pattern)
                 broken += 1
@@ -145,21 +171,21 @@ def test_peel_scan_rejects_long_broken_rankings():
     300-position ruler of distinct variables."""
     chain = make_scaling_pattern(82 + 127, top_rank=100, ruler_max=7)
     top = max(chain.ranks, key=chain.ranks.get)
-    assert _peel_events(chain) is not None
+    assert not _rejected(chain)
     for pos in (0, 50, len(chain)):
         symbols = chain.symbols[:pos] + (top,) + chain.symbols[pos:]
         pattern = RankedPattern(symbols, chain.ranks)
         kinds = {v.kind for v in validate_ranking(pattern)}
         assert "max-rank-repeated" in kinds
-        assert _peel_events(pattern) is None
+        assert _rejected(pattern)
         assert_no_match(pattern)
     symbols = tuple(range(300))
     ruler = {p: ((p + 1) & -(p + 1)).bit_length() + 10 for p in symbols}
-    assert _peel_events(RankedPattern(symbols, ruler)) is not None
+    assert not _rejected(RankedPattern(symbols, ruler))
     for pos in (1, 150, 299):
         pattern = RankedPattern(symbols, {**ruler, pos: ruler[pos - 1]})
         assert validate_ranking(pattern)[0].kind == "equal-ranks-unseparated"
-        assert _peel_events(pattern) is None
+        assert _rejected(pattern)
         assert_no_match(pattern)
 
 

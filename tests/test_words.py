@@ -12,6 +12,7 @@ from zimin import (
     generate_zimin,
     is_zimin_factor,
 )
+import zimin.words
 from zimin.oracle import apply_mu
 from zimin.words import _scan, format_word, parse_word
 
@@ -38,17 +39,18 @@ def test_generate_zimin_length():
         assert len(generate_zimin(k)) == 2**k - 1
 
 
-def test_generate_zimin_input_validation():
+def test_generate_zimin_input_validation(monkeypatch):
     with pytest.raises(ValueError):
         generate_zimin(0)
     with pytest.raises(SizeLimitError):
         generate_zimin(26)
     with pytest.raises(SizeLimitError, match="2\\^1000000000000000000 - 1 letters"):
         generate_zimin(10**18)
-    # explicit cap override
-    assert generate_zimin(5, max_order=5) == generate_zimin(5)
-    with pytest.raises(SizeLimitError):
-        generate_zimin(6, max_order=5)
+    # the cap is exact: at MAX_ORDER = 5, Z_5 is spelled and Z_6 refused
+    monkeypatch.setattr(zimin.words, "MAX_ORDER", 5)
+    assert generate_zimin(5) == Z4 + (5,) + Z4
+    with pytest.raises(SizeLimitError, match="^Z_6 has 2\\^6 - 1 letters, above cap 2\\^5 - 1$"):
+        generate_zimin(6)
 
 
 def test_apply_mu_sends_zimin_to_next():
