@@ -18,13 +18,14 @@ from level to level, and an insertion changes only the components that
 hold the old sides it touches, the end side of its left neighbour and
 the start side of its right one: pairs between old sides only
 disappear, and both ends of a removed pair are touched.  Only those
-components are rebuilt, and only they and the components pinned at the
-step before can change flags.  A flag that stays on adds its letter at
-every level, so it is kept as one run of letters, written once when it
-turns off.  Levels between two distinct ranks repeat one unforced
-system, so they are taken in one step, and the cost grows with the
-distinct ranks and the components that change, not with the ranks'
-numeric values.
+components are rebuilt, by a search from the new sides, to which the
+touched ones are now paired, and no pass resets them first.  Only they
+and the components pinned at the step before can change flags.  A flag
+that stays on adds its letter at every level, so it is kept as one run
+of letters, written once when it turns off.  Levels between two
+distinct ranks repeat one unforced system, so they are taken in one
+step, and the cost grows with the distinct ranks and the components
+that change, not with the ranks' numeric values.
 
 Each product pays only for what it returns.  One scan of the ranking
 peels the projection and checks both ranking conditions, so a broken
@@ -64,11 +65,12 @@ class RankedPattern:
         symbols, ranks = tuple(symbols), dict(ranks)
         if not symbols:
             raise ValueError("pattern must have at least one symbol")
-        if set(ranks) != set(symbols):
+        if ranks.keys() != set(symbols):
             raise ValueError("ranks must cover exactly the occurring variables")
-        for var, rank in ranks.items():
-            if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
-                raise ValueError(f"rank of {var!r} must be a positive integer")
+        if set(map(type, ranks.values())) != {int} or min(ranks.values()) < 1:
+            for var, rank in ranks.items():
+                if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
+                    raise ValueError(f"rank of {var!r} must be a positive integer")
         object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "ranks", ranks)
 
@@ -96,7 +98,7 @@ class RankedPattern:
 
     @property
     def rank_sequence(self) -> tuple[int, ...]:
-        return tuple(self.ranks[s] for s in self.symbols)
+        return tuple(map(self.ranks.__getitem__, self.symbols))
 
     @property
     def variables(self) -> tuple:
@@ -197,21 +199,23 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None, codes: bo
     and a pair's multiplicity is the number of slots that hold it.  A
     level's insertions drop the pair (end[lft], start[rgt]) and add
     pairs that each hold a new vertex and end[lft] or start[rgt], so
-    only the components holding such an old vertex change: they are
-    dissolved and rebuilt, with the new vertices, by a search.  A side
-    with more than 8 slots is heavy.  On a level of few insertions, at
-    most an eighth of the slots of the heavy sides that entered before,
-    the search reads each of those through a Counter of its slots, kept
-    up to date slot by slot until a level of many insertions, so a
-    rebuild costs the distinct pairs of the component.  On other levels
-    it reads slots, which the many insertions pay for.  A side's flag is
-    the pin of its component when pinned, else False for an end side and
-    left[v] for a start side; left[v] changes only when the start side
-    of v is touched.  So flags are recomputed only for rebuilt components
-    and for components pinned at the previous step.  The pins of a step
-    are on new vertices, which are rebuilt, or with ``shortest`` on the
-    head's component, which was pinned at the previous step too unless
-    it was rebuilt.
+    only the components holding such an old vertex change.  They are
+    rebuilt by a search from the new vertices, which reaches every piece:
+    each holds a touched vertex, now paired with a new one.  A vertex is
+    unplaced while its label is at most base, the last label before the
+    step, so no pass resets labels.  A side with more than 8 slots is
+    heavy.  On a level of few insertions, at most an eighth of the slots
+    of the heavy sides that entered before, the search reads each of
+    those through a Counter of its slots, kept up to date slot by slot
+    until a level of many insertions, so a rebuild costs the distinct
+    pairs of the component.  On other levels it reads slots, which the
+    many insertions pay for.  A side's flag is the pin of its component
+    when pinned, else False for an end side and left[v] for a start
+    side; left[v] changes only when the start side of v is touched.  So
+    flags are recomputed only for rebuilt components and for components
+    pinned at the previous step.  The pins of a step are on new vertices,
+    which are rebuilt, or with ``shortest`` on the head's component,
+    which was pinned at the previous step too unless it was rebuilt.
 
     Each flag that turns True opens a run of letters at that step's top
     level; when it turns False, or at the end (level 1), the run closes
@@ -246,21 +250,21 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None, codes: bo
             idx[pos] = occ[v]
             occ[v] += 1
     names = list(ids)
+    del occ[len(names) :]
     end = [2 * v for v in vid]
     start = [e + 1 for e in end]
     size = 2 * len(names)
 
     # per side, one neighbour slot per occurrence; the sentinel size has none
-    nb = [[size] * occ[u >> 1] for u in range(size)]
+    nb = list(map([size].__mul__, chain.from_iterable(zip(occ, occ))))
     nb.append(())
     srch = nb[:]  # what a search reads: a side's slots, or a heavy side's Counter
     # the variables with heavy sides, the slots of a side of each before it
     heavy = [v for v in range(len(names)) if occ[v] > 8] if max(occ) > 8 else ()
     heavy_slots = list(accumulate(map(occ.__getitem__, heavy), initial=0)) if heavy else ()
     counted = 0  # the heavy variables whose sides srch counts
-    # component label, -1 until the vertex enters; the sentinel's 0 is no
-    # component's, so no search enters it
-    comp = [-1] * size + [0]
+    # component label, -1 until the vertex enters; no base reaches the sentinel's
+    comp = [-1] * size + [float("inf")]
     members: dict[int, list] = {}  # label -> vertices
     pins: dict = {}  # label -> flag of the component's end sides, this step
     flag = [False] * size  # each side's flag at the last step
@@ -275,9 +279,8 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None, codes: bo
     steps = [] if collect is not None else None
 
     for top, weight, recs in peeled:
-        above = active
+        above, base = active, label  # a vertex labelled at most base is unplaced
         active += entering[top]
-        fresh = list(range(2 * above, 2 * active))
         if heavy and heavy[0] < above and recs:  # heavy sides entered before
             old = bisect_left(heavy, above)
             if 8 * len(recs) > heavy_slots[old]:  # many insertions: read slots
@@ -302,7 +305,7 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None, codes: bo
                 nb[a][idx[lft]] = b = start[pos]
                 nb[b][k] = a
                 left[vid[pos]] = True
-                fresh += members.pop(comp[a], ())
+                members.pop(comp[a], None)
             else:
                 head = pos
             if rgt < n:
@@ -310,23 +313,20 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None, codes: bo
                 nb[b][idx[rgt]] = a = end[pos]
                 nb[a][k] = b
                 left[vid[rgt]] = True
-                fresh += members.pop(comp[b], ())
+                members.pop(comp[b], None)
 
-        for u in fresh:
-            comp[u] = -1
-        rebuilt = []  # fresh labels, so none is in prev
-        for u in fresh:
-            if comp[u] < 0:
+        for u in range(2 * above, 2 * active):  # the new sides reach every piece
+            if comp[u] <= base:
                 label += 1
                 comp[u] = label
                 group = [u]
                 for x in group:
                     for y in srch[x]:
-                        if comp[y] < 0:
+                        if comp[y] <= base:
                             comp[y] = label
                             group.append(y)
                 members[label] = group
-                rebuilt.append(label)
+        rebuilt = range(base + 1, label + 1)  # labels above base, so none is in prev
 
         prev, pins = pins, {}
         for v in range(above, active):

@@ -1,6 +1,6 @@
 """Acceptance gate for the library.
 
-Five criteria, each reported as one [acceptance] line.  The checks pin
+Five criteria, each check reported as one [acceptance] line.  The checks pin
 exact expected values for the worked examples, differential-test the
 fast paths against brute-force oracles, and smoke-test the advertised
 complexity at desk scale.  Budgets are wall-clock seconds and generous
@@ -15,6 +15,7 @@ from itertools import product
 from time import perf_counter
 
 import reference_engine as ref
+from test_engine_reference import distinct_ruler
 from zimin import (
     RankedPattern,
     Verdict,
@@ -40,6 +41,7 @@ from zimin import (
     uncompressed_embedding,
     validate_ranking,
 )
+from zimin import matching
 from zimin.verification import make_scaling_pattern
 
 
@@ -388,4 +390,31 @@ def test_criterion_5_repeated_pairs_smoke():
         "criterion 5, repeated pairs smoke test",
         ok,
         f"t(m={m // 8})={t_short:.2f}s t(m={m})={t_full:.2f}s",
+    )
+
+
+def test_criterion_5_distinct_ruler_smoke():
+    """Every ruler level rebuilds nearly every component: a position of
+    each ruler value lies between any two positions of larger values, so
+    the level's insertions touch nearly every old side.  The count's walk
+    must stay linear in the positions."""
+    n = 1 << 16
+    times = []
+    for length in (n // 2, n):
+        rp = distinct_ruler(random.Random(5), length=length)
+        best = float("inf")
+        for _ in range(3):
+            t0 = perf_counter()
+            walked = matching._run(rp, codes=False)
+            best = min(best, perf_counter() - t0)
+        assert walked is not None
+        times.append(best)
+    t_half, t_full = times
+
+    ok = t_full < 5.0
+    ok &= t_full <= 2.5 * max(t_half, 0.05)
+    assert _report(
+        "criterion 5, distinct ruler smoke test",
+        ok,
+        f"t({n // 2})={t_half:.3f}s t({n})={t_full:.3f}s",
     )

@@ -250,6 +250,35 @@ def test_larger_universe(ranks):
     assert matched == 372
 
 
+def chain_in_ruler(at, top=100, ruler_top=7):
+    """The benchmark's chain plus ruler: a decreasing chain of fresh
+    variables over ranks top..ruler_top + 1, inserted at ``at`` into the
+    ruler over ranks 1..ruler_top, one variable per ruler value."""
+    part = [("w", (p & -p).bit_length()) for p in range(1, 1 << ruler_top)]
+    chain = [("c", rank) for rank in range(top, ruler_top, -1)]
+    ranks = {name: name[1] for name in part + chain}
+    return RankedPattern(part[:at] + chain + part[at:], ranks)
+
+
+@pytest.mark.parametrize("shape", ["distinct ruler", "chain in ruler"])
+def test_match_workload_shapes(shape):
+    """Canonical, shortest and count against the per-level reference on
+    the two shapes of the match benchmark: the 300-position distinct
+    ruler, whose ruler levels rebuild nearly every component, with its tail
+    first and last, and the chain over ranks 100..8 at the start, middle
+    and end of the 127-position ruler over ranks 1..7."""
+    if shape == "distinct ruler":
+        patterns = [
+            distinct_ruler(random.Random(seed), tail_first=first)
+            for seed in range(11, 14)
+            for first in (True, False)
+        ]
+    else:
+        patterns = [chain_in_ruler(at) for at in (0, 63, 127)]
+    for pattern in patterns:
+        assert assert_same(pattern, enumerate_too=False)
+
+
 def hub(m, l_ranks=None, ruler=False):
     """The hub h l1 y1 h l2 y2 ... h lm ym, with rank(h) = m + 1, rank(l_j)
     = l_ranks[j - 1] (j by default) and rank(y_j) = m + 1 + j.  Every

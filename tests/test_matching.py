@@ -66,16 +66,30 @@ EX2_ALTERNATE = {
 
 
 def test_ranked_pattern_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one symbol"):
         RankedPattern((), {})
-    with pytest.raises(ValueError):
+    cover = "^ranks must cover exactly the occurring variables$"
+    with pytest.raises(ValueError, match=cover):
         RankedPattern(("a",), {})  # missing rank
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=cover):
+        RankedPattern(("a", "b"), {"a": 1})  # missing rank
+    with pytest.raises(ValueError, match=cover):
         RankedPattern(("a",), {"a": 1, "b": 2})  # rank for absent variable
-    with pytest.raises(ValueError):
-        RankedPattern(("a",), {"a": 0})
-    with pytest.raises(ValueError):
-        RankedPattern(("a",), {"a": True})
+    for bad in (True, 1.0, "1", 0, -3):
+        with pytest.raises(ValueError, match="^rank of 'a' must be a positive integer$"):
+            RankedPattern(("a",), {"a": bad})
+        # the first bad variable in the order of ranks, not of the symbols
+        with pytest.raises(ValueError, match="^rank of 'b' must be a positive integer$"):
+            RankedPattern(tuple("abc"), {"c": 1, "b": bad, "a": bad})
+        with pytest.raises(ValueError, match="^rank of 'c' must be a positive integer$"):
+            RankedPattern(tuple("abc"), {"a": 2, "b": 1, "c": bad})
+    # an int subclass other than bool is a rank
+    class Rank(int):
+        pass
+
+    pattern = RankedPattern(tuple("aba"), {"a": Rank(1), "b": 2})
+    assert pattern.rank_sequence == (1, 2, 1)
+    assert count_instances(pattern) == 1
 
 
 def test_ranked_pattern_accessors():
