@@ -1,4 +1,7 @@
-"""Command line interface.
+"""Command line interface, and the one module that knows its text forms:
+words (parse_word, format_word), codes (parse_code, format_code),
+patterns (parse_pattern, format_pattern) and rankings (parse_ranks).
+Each printed form reads back through its parser.
 
 Exit codes: 0 for a positive answer, 1 for a negative one (no match,
 not a factor, inconclusive), 2 for bad input, 3 when a size or
@@ -29,7 +32,7 @@ from .matching import (
     shortest_instance,
     validate_ranking,
 )
-from .words import first_violation, format_word, generate_zimin, parse_word
+from .words import first_violation, generate_zimin
 
 FORMAT_VERSION = "1"
 
@@ -38,9 +41,42 @@ FORMAT_VERSION = "1"
 MAX_RANK_DIGITS = 4000
 
 
+def _compact(token: str) -> bool:
+    """True iff parse_word reads ``token`` alone as one letter per digit."""
+    return token.isdigit() and len(token) > 1 and "0" not in token
+
+
+def parse_word(text: str) -> tuple:
+    """Parse a word from text.
+
+    Two encodings are accepted: whitespace-separated integers
+    ("1 2 1 3"), or a single run of digits ("1213") read one letter per
+    character.  The compact form is only unambiguous when every letter
+    is a single digit, so a lone token containing a '0', of length 1 or
+    signed ("+12") is read as one integer.
+    """
+    tokens = text.split()
+    if not tokens:
+        raise ValueError("empty word")
+    if len(tokens) == 1:
+        tok = tokens[0]
+        if _compact(tok):
+            return tuple(int(ch) for ch in tok)
+        return (int(tok),)
+    return tuple(int(tok) for tok in tokens)
+
+
+def format_word(word) -> str:
+    """Render a word; compact digits when possible, else space separated.
+    A lone letter that would read back as compact digits is signed: +12."""
+    if len(word) > 1 and all(1 <= x <= 9 for x in word):
+        return "".join(str(x) for x in word)
+    text = " ".join(str(x) for x in word)
+    return f"+{text}" if len(word) == 1 and _compact(text) else text
+
+
 def parse_code(text: str) -> tuple:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    return tuple(int(p) for p in parts)
+    return tuple(int(p) for p in text.replace(",", " ").split())
 
 
 def format_code(code) -> str:
@@ -54,6 +90,14 @@ def parse_pattern(text: str) -> tuple:
     if len(tokens) == 1:
         return tuple(tokens[0])
     return tuple(tokens)
+
+
+def format_pattern(pattern) -> str:
+    """The inverse of parse_pattern: one-character names run together,
+    longer names are separated by spaces.  A pattern of one variable
+    whose name is longer than a character has no text form."""
+    names = [str(s) for s in pattern]
+    return ("" if all(len(n) == 1 for n in names) else " ").join(names)
 
 
 def parse_ranks(text: str) -> dict:
@@ -229,19 +273,17 @@ def cmd_avoid(args) -> int:
     if args.method in ("reduction", "both"):
         rd = is_unavoidable_by_reduction(pattern, args.max_size)
         nodes["reduction"] = rd.nodes
-        if verdict is None or verdict is Verdict.INCONCLUSIVE:
+        if verdict is None:
             verdict = rd.verdict
         elif rd.verdict is not Verdict.INCONCLUSIVE and rd.verdict is not verdict:
             print("error: deciders disagree, please report this input", file=sys.stderr)
             return 1
         if rd.trace:
             payload["trace"] = [
-                ["".join(str(s) for s in pat), sorted(str(s) for s in deleted)]
-                for pat, deleted in rd.trace
+                [format_pattern(pat), sorted(str(s) for s in deleted)] for pat, deleted in rd.trace
             ]
             lines.extend(
-                "delete {%s} from %s" % (",".join(sorted(map(str, deleted))), "".join(map(str, pat)))
-                for pat, deleted in rd.trace
+                "delete {%s} from %s" % (",".join(names), pat) for pat, names in payload["trace"]
             )
     payload["verdict"] = verdict.value
     _emit(args, payload, "\n".join([verdict.value.upper()] + lines))

@@ -143,8 +143,10 @@ def check_concatenation(parts) -> bool:
     facing ends in every round until a single part remains: bits
     1..min(a, b) of the parts so far's end mask (peak a) XOR the next
     part's start mask (peak b) must all be set, and min(a, b) past a cap
-    of the letter count fails unread.  Linear in the letters plus the
-    peaks divided by the word size.
+    of the letter count fails unread.  O(letters + parts * P / word
+    size) for the largest peak P: every part after a part with peak P
+    copies the P-bit end mask (ROADMAP item 3's monotone stack of end
+    masks is the fix).
     """
     return _peaks([tuple(part) for part in parts]) is not None
 

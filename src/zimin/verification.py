@@ -1,5 +1,4 @@
-"""Self-checks used by the verify command, and the scaling pattern of
-acceptance criterion 5."""
+"""The self-checks of the verify command, loaded only by that command."""
 
 from __future__ import annotations
 
@@ -73,28 +72,3 @@ def run_small_suite():
         is_unavoidable_by_ranking(tuple("aa")).verdict is Verdict.AVOIDABLE,
     )
     return rows
-
-
-def make_scaling_pattern(n: int, top_rank: int = 1000, ruler_max: int = 18) -> RankedPattern:
-    """Matchable pattern with n symbols and the given top rank.
-
-    A strictly decreasing chain of fresh variables covers the ranks down
-    to ruler_max + 1; the remainder follows the ruler sequence, whose
-    values obey the separation condition by construction.  The matched
-    instance length grows like 2**top_rank while the work stays near
-    linear in n, which is what acceptance criterion 5 checks.
-    """
-    chain = top_rank - ruler_max
-    m = n - chain
-    if m < 1:
-        raise ValueError(f"n must exceed {chain} for top rank {top_rank}")
-    if m >= 2 ** ruler_max:
-        raise ValueError("ruler part too long for its rank ceiling")
-    symbols = [f"v{r}" for r in range(top_rank, ruler_max, -1)]
-    ranks = {f"v{r}": r for r in range(top_rank, ruler_max, -1)}
-    for p in range(1, m + 1):
-        j = (p & -p).bit_length()
-        var = f"w{j}"
-        symbols.append(var)
-        ranks[var] = j
-    return RankedPattern(tuple(symbols), ranks)

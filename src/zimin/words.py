@@ -10,7 +10,8 @@ themselves with j on one fixed parity class.  ``first_violation``
 implements that test by repeated halving, which is linear in the input
 length.  Level j keeps the odd class iff j fills the even one, so the
 classes kept spell the peak's index in binary, one digit per level.
-The morphism mu (Z_n into Z_{n+1}) lives in ``oracle``, its one user.
+The morphism mu (Z_n into Z_{n+1}) lives in ``oracle`` and the text
+forms of words (parse_word, format_word) in ``cli``, each its one user.
 """
 
 from __future__ import annotations
@@ -53,10 +54,13 @@ def first_violation(word):
 def _scan(word):
     """first_violation(word) and the index of the last letter the halving
     keeps, on a factor its peak.  Letters that all fit a byte are halved
-    as a bytearray, whose counts and slices run in C; iter() keeps an int
-    from being read as a length, and raises TypeError on any non-iterable."""
+    as a bytearray, whose counts and slices run in C.  Any other input is
+    read once into a tuple, so a one-shot iterator reaches the list path
+    whole; tuple() raises TypeError on an int or any other non-iterable."""
+    if not isinstance(word, (tuple, list)):
+        word = tuple(word)
     try:
-        current = bytearray(word if isinstance(word, (tuple, list)) else iter(word))
+        current = bytearray(word)
         bad = 0 in current
     except (TypeError, ValueError):
         current = list(word)
@@ -87,32 +91,3 @@ def is_zimin_factor(word) -> bool:
     The empty word counts as a factor.
     """
     return first_violation(word) is None
-
-
-def parse_word(text: str) -> Word:
-    """Parse a word from text.
-
-    Two encodings are accepted: whitespace-separated integers
-    ("1 2 1 3"), or a single run of digits ("1213") read one letter per
-    character.  The compact form is only unambiguous when every letter
-    is a single digit, so a lone token containing a '0' or of length 1
-    is read as one integer.
-    """
-    tokens = text.split()
-    if not tokens:
-        raise ValueError("empty word")
-    if len(tokens) == 1:
-        tok = tokens[0]
-        if tok.isdigit() and len(tok) > 1 and "0" not in tok:
-            return tuple(int(ch) for ch in tok)
-        return (int(tok),)
-    return tuple(int(tok) for tok in tokens)
-
-
-def format_word(word) -> str:
-    """Render a word; compact digits when possible, else space separated."""
-    if not word:
-        return ""
-    if len(word) > 1 and all(1 <= x <= 9 for x in word):
-        return "".join(str(x) for x in word)
-    return " ".join(str(x) for x in word)

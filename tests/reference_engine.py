@@ -15,6 +15,9 @@ which ``tests/test_boundary.py`` checks those helpers against.
 conditions, is the reference for ``validate_ranking``.  The enumeration
 prechecks with it, so the reference shares no ranking code with the
 library.
+
+``make_scaling_pattern`` builds the long matchable patterns of the
+scaling tests (acceptance criterion 5).
 """
 
 from __future__ import annotations
@@ -490,3 +493,28 @@ def solve_by_implication_graph(system: ConstraintSystem):
         last = comp[lit((var, END), True)] < comp[lit((var, END), False)]
         flags[var] = (first, last)
     return flags
+
+
+def make_scaling_pattern(n: int, top_rank: int = 1000, ruler_max: int = 18) -> RankedPattern:
+    """Matchable pattern with n symbols and the given top rank.
+
+    A strictly decreasing chain of fresh variables covers the ranks down
+    to ruler_max + 1; the remainder follows the ruler sequence, whose
+    values obey the separation condition by construction.  The matched
+    instance length grows like 2**top_rank while the work stays near
+    linear in n, which is what acceptance criterion 5 checks.
+    """
+    chain = top_rank - ruler_max
+    m = n - chain
+    if m < 1:
+        raise ValueError(f"n must exceed {chain} for top rank {top_rank}")
+    if m >= 2 ** ruler_max:
+        raise ValueError("ruler part too long for its rank ceiling")
+    symbols = [f"v{r}" for r in range(top_rank, ruler_max, -1)]
+    ranks = {f"v{r}": r for r in range(top_rank, ruler_max, -1)}
+    for p in range(1, m + 1):
+        j = (p & -p).bit_length()
+        var = f"w{j}"
+        symbols.append(var)
+        ranks[var] = j
+    return RankedPattern(tuple(symbols), ranks)

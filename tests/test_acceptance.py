@@ -15,6 +15,7 @@ from itertools import product
 from time import perf_counter
 
 import reference_engine as ref
+from reference_engine import make_scaling_pattern
 from test_engine_reference import distinct_ruler
 from zimin import (
     RankedPattern,
@@ -42,7 +43,6 @@ from zimin import (
     validate_ranking,
 )
 from zimin import matching
-from zimin.verification import make_scaling_pattern
 
 
 def _report(name: str, ok: bool, detail: str = "") -> bool:

@@ -1,11 +1,22 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
-from zimin import RankedPattern, instance_length, shortest_instance
-from zimin.cli import MAX_RANK_DIGITS, main
+from zimin import RankedPattern, instance_length, is_unavoidable_by_ranking, shortest_instance
+from zimin.cli import (
+    MAX_RANK_DIGITS,
+    format_code,
+    format_pattern,
+    format_word,
+    main,
+    parse_code,
+    parse_pattern,
+    parse_ranks,
+    parse_word,
+)
 from zimin.matching import MAX_RUN_CELLS
 
 
@@ -318,6 +329,23 @@ def test_avoid_inconclusive(capsys):
     assert (code, out) == (1, "INCONCLUSIVE\n")
 
 
+def test_avoid_merges_an_inconclusive_reduction(capsys):
+    # the ranking decider is complete, so its verdict stands when the
+    # truncated reduction search gives up
+    code, payload, _ = run_json(capsys, "avoid", "abacdbacabdcdbd", "--max-size", "1")
+    assert code == 0
+    assert payload["verdict"] == "avoidable"
+    assert payload["nodes"] == {"ranking": 15, "reduction": 5}
+
+
+def test_avoid_trace_of_longer_names_reads_back(capsys):
+    code, out, _ = run(capsys, "avoid", "ab c ab")
+    assert code == 0
+    assert out.splitlines()[2:] == ["delete {ab} from ab c ab", "delete {c} from c"]
+    _, payload, _ = run_json(capsys, "avoid", "ab c ab")
+    assert payload["trace"] == [["ab c ab", ["ab"]], ["c", ["c"]]]
+
+
 def test_avoid_cap(capsys):
     code, _, err = run(capsys, "avoid", "abcdefghi")
     assert code == 3
@@ -351,3 +379,79 @@ def test_json_outputs_are_versioned(capsys):
     ]:
         _, payload, _ = run_json(capsys, *argv)
         assert payload["format_version"] == "1"
+
+
+def test_parse_word_forms():
+    assert parse_word("1 2 1") == (1, 2, 1)
+    assert parse_word("121") == (1, 2, 1)  # compact digits
+    assert parse_word("12") == (1, 2)
+    assert parse_word("+12") == (12,)  # signed, so a single letter
+    assert parse_word("7") == (7,)
+    assert parse_word("10") == (10,)  # contains 0, so a single letter
+    assert parse_word("1 10 1") == (1, 10, 1)
+    with pytest.raises(ValueError):
+        parse_word("")
+    with pytest.raises(ValueError):
+        parse_word("1 x 1")
+
+
+def test_format_word_round_trip():
+    for word in [(1, 2, 1), (1,), (10,), (12,), (1, 10, 1), (2, 9, 2), (1, 12, 1)]:
+        assert parse_word(format_word(word)) == word
+    assert format_word((1, 2, 1)) == "121"
+    assert format_word((1, 10, 1)) == "1 10 1"
+    assert format_word((10,)) == "10"
+    assert format_word((7,)) == "7"
+    # a lone letter that would read back as compact digits is signed
+    assert format_word((12,)) == "+12"
+    assert format_word((256,)) == "+256"
+    assert format_word((300,)) == "300"
+
+
+def test_format_pattern_forms():
+    assert format_pattern(tuple("aba")) == "aba"
+    assert format_pattern(("ab", "c", "ab")) == "ab c ab"
+    assert format_pattern(()) == ""
+    # one variable with a longer name has no text form: it reads as letters
+    assert parse_pattern(format_pattern(("ab",))) == ("a", "b")
+
+
+def test_compressed_forms_round_trip_in_cli(capsys):
+    code, out, _ = run(capsys, "decompress", "12")
+    assert (code, out) == (0, "+12\n")
+    assert run(capsys, "compress", out) == (0, "12\n", "")
+
+
+def _random_word(rng):
+    """1 to 5 letters, each a digit, a letter of 10..300 or a corner case."""
+    pools = (range(1, 10), range(10, 301), (11, 12, 99, 100, 255, 256))
+    return tuple(rng.choice(rng.choice(pools)) for _ in range(rng.randint(1, 5)))
+
+
+def _random_pattern(rng, names, low):
+    return tuple(rng.choice(names) for _ in range(rng.randint(low, 6)))
+
+
+def test_printed_forms_read_back(capsys):
+    """Every text form the CLI prints parses back to what it printed."""
+    rng = random.Random(25)
+    short = list("abcxyz01")
+    mixed = short + ["ab", "x1", "foo", "v10"]
+    for _ in range(1200):
+        word = _random_word(rng)
+        assert parse_word(format_word(word)) == word, word
+        code = tuple(rng.randint(1, 10**rng.randint(1, 20)) for _ in range(rng.randint(0, 6)))
+        assert parse_code(format_code(code)) == code, code
+        for pattern in (_random_pattern(rng, mixed, 2), _random_pattern(rng, short, 0)):
+            assert parse_pattern(format_pattern(pattern)) == pattern, pattern
+    for _ in range(150):
+        pattern = _random_pattern(rng, ["a", "b", "c", "ab", "x1"], 2)
+        text = format_pattern(pattern)
+        ranking = is_unavoidable_by_ranking(pattern).ranking
+        code, out, _ = run(capsys, "avoid", text, "--method", "ranking")
+        assert code == 0
+        shown = [line for line in out.splitlines() if line.startswith("ranking: ")]
+        if ranking is None:
+            assert shown == [], text
+        else:
+            assert parse_ranks(shown[0].removeprefix("ranking: ")) == ranking, text

@@ -12,6 +12,7 @@ from itertools import chain, product
 import pytest
 
 import reference_engine as ref
+from reference_engine import make_scaling_pattern
 from test_avoidability import canonical_patterns
 from zimin import (
     EnumerationLimitError,
@@ -28,7 +29,6 @@ from zimin import matching
 from zimin.boundary import AdjacencyGraph
 from zimin.compressed import decompressed_length
 from zimin.matching import _peel
-from zimin.verification import make_scaling_pattern
 
 ENUM_LIMIT = 64
 

@@ -14,7 +14,7 @@ from zimin import (
 )
 import zimin.words
 from zimin.oracle import apply_mu
-from zimin.words import _scan, format_word, parse_word
+from zimin.words import _scan
 
 # Z_1 .. Z_4, written out once so nothing below depends on the generator.
 Z1 = (1,)
@@ -116,28 +116,19 @@ def test_every_window_of_zimin_is_factor():
             assert is_zimin_factor(z[i:j]), z[i:j]
 
 
-def test_parse_word_forms():
-    assert parse_word("1 2 1") == (1, 2, 1)
-    assert parse_word("121") == (1, 2, 1)  # compact digits
-    assert parse_word("12") == (1, 2)
-    assert parse_word("7") == (7,)
-    assert parse_word("10") == (10,)  # contains 0, so a single letter
-    assert parse_word("1 10 1") == (1, 10, 1)
-    with pytest.raises(ValueError):
-        parse_word("")
-    with pytest.raises(ValueError):
-        parse_word("1 x 1")
-
-
-def test_format_word_round_trip():
-    for word in [(1, 2, 1), (1,), (10,), (1, 10, 1), (2, 9, 2), (1, 12, 1)]:
-        assert parse_word(format_word(word)) == word
-    assert format_word((1, 2, 1)) == "121"
-    assert format_word((1, 10, 1)) == "1 10 1"
-    assert format_word((10,)) == "10"
-    # the one ambiguous corner: a lone zero-free letter >= 10 reads as
-    # compact digits, by design
-    assert parse_word("12") == (1, 2)
+def test_one_shot_iterables_are_read_once():
+    """An iterator or a generator gives the answer of a list of the same
+    letters, on the byte path and on the list path past it."""
+    for word in ([300, 300], [2, 300], [1, 300, 1], [300, 1, 2, 1], [1, 2, 1], [1, 1], list(Z4)):
+        expected = _scan(word)
+        assert _scan(iter(word)) == expected, word
+        assert _scan(x for x in word) == expected, word
+        assert is_zimin_factor(iter(word)) == (expected[0] is None), word
+    assert not is_zimin_factor(iter([300, 300]))
+    assert first_violation(x for x in [2, 300]) == 1
+    for word in ([300, 0], [1, 0]):
+        with pytest.raises(ValueError, match="positive"):
+            first_violation(iter(word))
 
 
 def reference_first_violation(word):
