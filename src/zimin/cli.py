@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .avoidability import (
@@ -366,7 +367,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader has gone: end quietly, and point a real stdout at
+        # devnull so that the flush at exit cannot fail again
+        try:
+            fd = sys.stdout.fileno()
+        except ValueError:  # no descriptor (io.UnsupportedOperation): nothing to redirect
+            return 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 1
     except (SizeLimitError, EnumerationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

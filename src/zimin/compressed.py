@@ -13,9 +13,8 @@ word unless explicitly asked to.
 Concatenations are decided by a left fold over each part's peak and the
 bit masks of its two sides, taken in the loop that walks the part
 (check_concatenation); compose reads the records of the whole off the
-parts whose peak tops every part before or after them.  Expansions spell
-Zimin words as bytes: a call spells its largest gap once, and every
-smaller gap is a prefix of it.
+parts whose peak tops every part before or after them.  A code is
+expanded only by spelling extend's tokens (expand_tokens).
 """
 
 from __future__ import annotations
@@ -112,26 +111,15 @@ def _bits(letters, top: int) -> int:
 
 
 def decompress(code) -> Word:
-    """Expand a code back into an explicit word.
-
-    The gap between records a and b is Z_{min(a,b)-1}, empty when the
-    smaller record is 1.  Each gap Z_m is the first 2^m - 1 bytes of the
-    largest gap so far, so the call spells its largest gap once.  Raises
-    SizeLimitError past MAX_LETTERS letters, before any is spelled.
+    """Expand a code back into an explicit word: the word that
+    expand_tokens spells from extend's tokens.  Raises SizeLimitError
+    past MAX_LETTERS letters, before any is spelled.
     """
     code = tuple(code)
     n = decompressed_length(code)  # validates the code
     if n > MAX_LETTERS:
         raise SizeLimitError(f"decompressed word has {n} letters, cap is {MAX_LETTERS}")
-    z, out = b"", list(code[:1])
-    for a, b in zip(code, code[1:]):
-        m = min(a, b) - 1
-        if m > 0:
-            if m > len(z).bit_length():
-                z = _spell_zimin(m, word=z)
-            out += z[: (1 << m) - 1]
-        out.append(b)
-    return tuple(out)
+    return expand_tokens(extend(code))
 
 
 def check_concatenation(parts) -> bool:
@@ -255,9 +243,6 @@ class ZBlock:
         return f"Z{self.order}"
 
 
-Token = int | ZBlock
-
-
 def extend(code) -> list:
     """Rewrite a code as tokens, making the implicit Zimin gaps explicit.
 
@@ -276,15 +261,17 @@ def extend(code) -> list:
 
 
 def expand_tokens(tokens) -> Word:
-    """Explicit word spelled by a token sequence.  Raises SizeLimitError
-    on more than MAX_LETTERS letters, before any is spelled."""
+    """Explicit word spelled by a token sequence: each block Z_m is the
+    first 2^m - 1 bytes of the largest block so far, so a call spells
+    its largest block once.  Raises SizeLimitError on more than
+    MAX_LETTERS letters, before any is spelled."""
     tokens, total = list(tokens), 0  # read twice: counted, then spelled
     for tok in tokens:
         # past MAX_ORDER one block alone exceeds the cap
         total += 2 ** min(tok.order, MAX_ORDER + 1) - 1 if isinstance(tok, ZBlock) else 1
         if total > MAX_LETTERS:
             raise SizeLimitError(f"token expansion exceeds cap {MAX_LETTERS}")
-    z, out = b"", []  # every block is a prefix of the largest so far
+    z, out = b"", []
     for tok in tokens:
         if isinstance(tok, ZBlock):
             if tok.order > len(z).bit_length():

@@ -265,7 +265,7 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None, codes: bo
     counted = 0  # the heavy variables whose sides srch counts
     # component label, -1 until the vertex enters; no base reaches the sentinel's
     comp = [-1] * size + [float("inf")]
-    members: dict[int, list] = {}  # label -> vertices
+    members: dict[int, tuple] = {}  # label -> vertices
     pins: dict = {}  # label -> flag of the component's end sides, this step
     flag = [False] * size  # each side's flag at the last step
     opened = [0] * size  # top level of the step where a True flag's run opened
@@ -325,7 +325,7 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None, codes: bo
                         if comp[y] <= base:
                             comp[y] = label
                             group.append(y)
-                members[label] = group
+                members[label] = tuple(group)  # of ints only: the collector untracks it
         rebuilt = range(base + 1, label + 1)  # labels above base, so none is in prev
 
         prev, pins = pins, {}

@@ -3,12 +3,13 @@
 Everything here is deliberately naive: factor queries become substring
 searches, match queries try every block split of every substring.  The
 point is an independent reference the fast implementations are tested
-against, so the oracles share no code with them.  The one exception is
+against, so the oracles share no code with them.  The only shared code
+is ``boundary.AdjacencyGraph``, which the engine does not use:
 ``uncompressed_embedding``, the explicit-word construction of the
-canonical match: it solves each level on ``boundary.AdjacencyGraph``,
-which the engine does not use, and it prechecks with the engine's
-``validate_ranking``.  It owns the morphism mu (``apply_mu``) that
-carries explicit values from one level down to the next.
+canonical match, solves each level on it.  A broken ranking makes some
+level clash there, so the construction needs no ranking check of its
+own.  It owns the morphism mu (``apply_mu``) that carries explicit
+values from one level down to the next.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from collections import namedtuple
 from .boundary import AdjacencyGraph
 from .compressed import MAX_LETTERS
 from .errors import SizeLimitError
-from .matching import validate_ranking
 from .words import Word, generate_zimin
 
 # a word with maximum letter M is a Zimin factor iff it occurs in Z_M
@@ -142,8 +142,6 @@ def uncompressed_embedding(pattern):
     letters in all it raises SizeLimitError; meant for cross-checking
     the compressed engine, not for real inputs.
     """
-    if validate_ranking(pattern):
-        return None
     seq = pattern.rank_sequence
     val: dict = {}
     for level in range(pattern.max_rank, 0, -1):

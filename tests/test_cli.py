@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import io
 import json
 import random
+import sys
 
 import pytest
 
@@ -50,6 +52,16 @@ def test_gen_errors(capsys):
     code, _, err = run(capsys, "gen", "99")
     assert code == 3
     assert "cap" in err
+
+
+def test_closed_stdout_ends_quietly(capsys, monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["gen", "5"]) == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_factor(capsys):

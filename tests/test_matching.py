@@ -425,8 +425,6 @@ def test_differential_compressed_vs_uncompressed():
     checked = 0
     for _ in range(800):
         rp = _random_ranked_pattern(rng)
-        if validate_ranking(rp):
-            continue
         compressed = compressed_embedding(rp)
         explicit = uncompressed_embedding(rp)
         if compressed is None:

@@ -48,6 +48,10 @@ def test_package_import_loads_no_submodule():
     assert [name for name in loaded if name.startswith("zimin.")] == []
 
 
+def test_oracle_import_loads_no_engine():
+    assert "zimin.matching" not in _modules_after("import zimin.oracle")
+
+
 def test_every_public_name_is_listed_and_resolves():
     assert len(zimin.__all__) == len(set(zimin.__all__)) == 39
     assert set(zimin.__all__) <= set(dir(zimin))
