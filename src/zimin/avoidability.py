@@ -26,7 +26,7 @@ from collections import namedtuple
 from enum import Enum
 from itertools import combinations
 
-from .boundary import _clash_table
+from .boundary import AdjacencyGraph, _clash_table
 from .errors import SizeLimitError
 from .matching import MatchResult, RankedPattern, compressed_embedding
 
@@ -56,15 +56,14 @@ def check_free_set(pattern, candidate):
     cand = frozenset(candidate)
     if not cand:
         raise ValueError("candidate free set must be nonempty")
-    pattern = tuple(pattern)  # read twice: names, then the clash table
-    names = tuple(dict.fromkeys(pattern))
-    bit = {v: 1 << i for i, v in enumerate(names)}
+    graph = AdjacencyGraph(pattern)
+    bit = graph.bit
     for var in cand:
         if var not in bit:
             raise ValueError(f"candidate free set holds {var!r}, which does not occur in the pattern")
     free = sum(map(bit.__getitem__, cand))
     a = b = held = 0
-    for ends, starts in _clash_table(list(map(bit.__getitem__, pattern))):
+    for ends, starts in graph.table:
         held |= starts
         if starts & free:
             if ends & free:
@@ -72,7 +71,7 @@ def check_free_set(pattern, candidate):
             a |= ends
             b |= starts
     b |= free & ~held  # a candidate's start side in no pair is a component alone
-    a_set, b_set = (frozenset(v for v in names if bit[v] & m) for m in (a, b))
+    a_set, b_set = (frozenset(v for v, x in bit.items() if x & m) for m in (a, b))
     return FreeSetWitness(cand, a_set, b_set)
 
 

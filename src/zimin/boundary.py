@@ -9,12 +9,12 @@ Those inequations live on a graph whose vertices are (variable, side)
 and whose edges join an end side to a start side, so the graph is
 bipartite and conflicts can only come from forced variables.  Each
 connected component carries a single free bit.  The graph is kept in
-two forms.  ``_clash_table`` lists its components as pairs of variable
-masks, which is all the deciders and ``avoidability.check_free_set``
-read.  ``AdjacencyGraph`` solves one level system for its flags, which
-only ``oracle.uncompressed_embedding`` asks for.  The matching engine
-uses neither: it keeps its components across levels and rebuilds only
-those a level's insertions touch (see ``matching._run``).
+one form: ``_clash_table`` lists its components as pairs of variable
+masks.  The deciders read it directly; ``AdjacencyGraph`` wraps it with
+the names' bits for ``avoidability.check_free_set`` and solves one level
+system for its flags for ``oracle.uncompressed_embedding``.  The
+matching engine uses neither: it keeps its components across levels and
+rebuilds only those a level's insertions touch (see ``matching._run``).
 """
 
 from __future__ import annotations
@@ -46,70 +46,28 @@ def _clash_table(masks) -> list:
 
 
 class AdjacencyGraph:
-    """Junction system of one level over integer vertices.
+    """Clash table of a name-level pattern, with each name's bit.
 
-    Variables are 0..size-1; vertex 2v is the end side of v and 2v+1 its
-    start side, and each pair (2x, 2y+1) joins an end to a start.  A
-    union-find with path halving leaves every vertex holding its root,
-    the smallest vertex of its component.  Pins are kept per root as the
-    flag of the component's end sides; start sides hold the complement.
-    ``left[v]`` is true when v has a left neighbour, that is when the
-    start side of v is in some pair.
-    """
+    A class only so that its build and its solve can be timed apart;
+    the deciders call ``_clash_table`` directly."""
 
-    def __init__(self, size, pairs):
-        parent = list(range(2 * size))
-        left = [False] * size
-        for a, b in pairs:
-            left[b >> 1] = True
-            while parent[a] != a:
-                parent[a] = a = parent[parent[a]]
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            if a < b:
-                parent[b] = a
-            else:  # a no-op when a == b
-                parent[a] = b
-        # no parent exceeds its child, so one pass in vertex order leaves
-        # every vertex holding its root
-        for u in range(2 * size):
-            parent[u] = parent[parent[u]]
-        self.root = parent
-        self.left = left
-        self.pins: dict = {}  # root -> flag of the component's end sides
+    def __init__(self, pattern):
+        pattern = tuple(pattern)  # read twice: names, then the table
+        self.bit = {v: 1 << i for i, v in enumerate(dict.fromkeys(pattern))}
+        self.table = _clash_table(list(map(self.bit.__getitem__, pattern)))
 
-    def force(self, variables) -> bool:
-        """Pin both flags of each variable True (its end sides' bit True,
-        its start sides' bit False); False on a clash."""
-        root, pins = self.root, self.pins
-        for v in variables:
-            if not pins.setdefault(root[2 * v], True) or pins.setdefault(root[2 * v + 1], False):
-                return False
-        return True
-
-    def flags_with(self, size):
-        """First flags and last flags of variables 0..size-1, as two lists
-        of truth values.  A free component has its end sides False, and
-        its start sides True when it has an end side, else False."""
-        left = self.left
-        bits = self.pins
-        if not bits:
-            return left[:size], [False] * size
-        start_flags = {root: not bit for root, bit in bits.items()}
-        # a free start side is True exactly when it has a left neighbour
-        firsts = list(map(start_flags.get, self.root[1 : 2 * size : 2], left))
-        return firsts, list(map(bits.get, self.root[: 2 * size : 2]))
-
-    @classmethod
-    def _level_flags(cls, pattern, forced):
-        """Canonical flags of a name-level pattern's junction system with
-        the ``forced`` variables pinned: each variable's (first, last),
-        free components taking their end sides False; None on a clash."""
-        names = tuple(dict.fromkeys(pattern))
-        ids = dict(zip(names, range(len(names))))
-        vid = list(map(ids.__getitem__, pattern))
-        graph = cls(len(names), {(2 * x, 2 * y + 1) for x, y in zip(vid, vid[1:])})
-        if not graph.force(map(ids.__getitem__, forced)):
-            return None
-        firsts, lasts = graph.flags_with(len(names))
-        return {var: (bool(first), bool(last)) for var, first, last in zip(names, firsts, lasts)}
+    def flags_with(self, forced):
+        """Each variable's (first, last) with the ``forced`` ones pinned
+        True, or None on a clash.  A component whose ends meet the forced
+        mask has its end sides True, any other its start sides True."""
+        bit = self.bit
+        mask = sum({bit[v] for v in forced})
+        first = last = mask
+        for ends, starts in self.table:
+            if ends & mask:
+                if starts & mask:
+                    return None
+                last |= ends
+            else:
+                first |= starts
+        return {v: (bool(first & b), bool(last & b)) for v, b in bit.items()}

@@ -119,22 +119,12 @@ def test_differential_random_patterns():
 
 
 def test_adjacency_graph_direct():
-    # variables a=0, b=1; the pair a b joins a's end (0) to b's start (3)
-    graph = AdjacencyGraph(2, [(0, 3)])
-    assert graph.root[0] not in graph.pins
-    assert graph.force([0])
-    # the pair forces the facing start flag off
-    firsts, lasts = graph.flags_with(2)
-    assert not firsts[1] and not lasts[1]
-    # forcing consistently is fine, contradicting is not
-    assert graph.force([0])
-    assert not graph.force([1])
+    # the pair a b joins a's end side to b's start side: forcing a makes
+    # last(a) True, so first(b) is False
+    assert AdjacencyGraph(("a", "b")).flags_with(("a",)) == {"a": (True, True), "b": (False, False)}
 
 
 def test_adjacency_graph_components():
-    graph = AdjacencyGraph(2, [(0, 3)])
-    assert graph.root[0] == graph.root[3]
-    assert len(set(graph.root)) == 3
-    assert graph.force([0])
-    # a's end side and b's start side share one pin, a's start side has its own
-    assert graph.pins == {graph.root[0]: True, graph.root[1]: False}
+    # a's end side and b's start side form one component, which forcing
+    # both a and b pins both ways
+    assert AdjacencyGraph(("a", "b")).flags_with(("a", "b")) is None
