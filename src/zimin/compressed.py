@@ -142,7 +142,9 @@ def check_concatenation(parts) -> bool:
 def _peaks(codes: list):
     """The parts' peaks if every junction passes, else None.  Each part is
     walked and validated as validate_code does, also after a failing
-    junction, in the loop that takes its junction with the parts before."""
+    junction, in the loop that takes its junction with the parts before;
+    once a rising letter passes the letter count or 4096, validate_code
+    checks the whole part and _bits sets its masks."""
     cap = sum(map(len, codes))
     lim = cap if cap < 4096 else 4096
     peaks, a, end = [], 0, 0  # a < 0 once a junction fails
@@ -150,8 +152,10 @@ def _peaks(codes: list):
         start = end_b = peak = prev = 0
         for x in code:
             if x > peak and prev == peak:
-                if x > lim:
-                    peak, start, end_b = _long_sides(code, x, start, cap)
+                if x > lim:  # _bits sets both masks in linear time, where shifts are quadratic
+                    validate_code(code)
+                    i, top = code.index(peak := max(code)), min(peak, cap)
+                    start, end_b = _bits(code[: i + 1], top), _bits(code[i:], top)
                     break
                 start |= (end_b := 1 << x)
                 peak = x
@@ -168,18 +172,6 @@ def _peaks(codes: list):
             else:
                 a, end = (a if a > peak else peak), end & -(2 << m) | end_b
     return peaks if a >= 0 else None
-
-
-def _long_sides(code: Code, x, start: int, cap: int):
-    """(peak, start mask, end mask) of a code whose rising letter x is past
-    ``cap`` or 4096, given the start mask of the letters before x: from x
-    on, _bits sets the bits, none above ``cap``, in linear time where
-    shifts are quadratic."""
-    rest = code[code.index(x) :]
-    if not is_unimodal(rest) or rest[-1] < 1:
-        validate_code(code)
-    i, top = rest.index(peak := max(rest)), min(peak, cap)
-    return peak, start | _bits(rest[: i + 1], top), _bits(rest[i:], top)
 
 
 def _fold(sides, cap: int) -> bool:

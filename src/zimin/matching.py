@@ -209,13 +209,15 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None, codes: bo
     those through a Counter of its slots, kept up to date slot by slot
     until a level of many insertions, so a rebuild costs the distinct
     pairs of the component.  On other levels it reads slots, which the
-    many insertions pay for.  A side's flag is the pin of its component
-    when pinned, else False for an end side and left[v] for a start
-    side; left[v] changes only when the start side of v is touched.  So
-    flags are recomputed only for rebuilt components and for components
-    pinned at the previous step.  The pins of a step are on new vertices,
-    which are rebuilt, or with ``shortest`` on the head's component,
-    which was pinned at the previous step too unless it was rebuilt.
+    many insertions pay for.  A side's flag is read off its component:
+    when pinned, the pin on end sides and its negation on start sides;
+    else True on the start sides of a component of two or more sides (a
+    start side has a partner iff its variable has a left neighbour) and
+    False on the rest.  So flags are recomputed only for rebuilt
+    components and for components pinned at the previous step.  The pins
+    of a step are on new vertices, which are rebuilt, or with
+    ``shortest`` on the head's component, which was pinned at the
+    previous step too unless it was rebuilt.
 
     Each flag that turns True opens a run of letters at that step's top
     level; when it turns False, or at the end (level 1), the run closes
@@ -267,12 +269,9 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None, codes: bo
     comp = [-1] * size + [float("inf")]
     members: dict[int, tuple] = {}  # label -> vertices
     pins: dict = {}  # label -> flag of the component's end sides, this step
-    flag = [False] * size  # each side's flag at the last step
-    opened = [0] * size  # top level of the step where a True flag's run opened
+    opened = [0] * size  # top level of the step where a side's run opened, 0 while off
     runs: list = [None] * size  # each side's closed runs
     cells = len(names)  # the peaks
-    # has a left neighbour; positions only enter, so a flag never clears
-    left = [False] * len(names)
     entering = Counter(ranks.values())  # level -> variables of that rank
     head = -1
     label = active = total_free = 0
@@ -304,7 +303,6 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None, codes: bo
                 a = end[lft]
                 nb[a][idx[lft]] = b = start[pos]
                 nb[b][k] = a
-                left[vid[pos]] = True
                 members.pop(comp[a], None)
             else:
                 head = pos
@@ -312,7 +310,6 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None, codes: bo
                 b = start[rgt]
                 nb[b][idx[rgt]] = a = end[pos]
                 nb[a][k] = b
-                left[vid[rgt]] = True
                 members.pop(comp[b], None)
 
         for u in range(2 * above, 2 * active):  # the new sides reach every piece
@@ -354,17 +351,13 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None, codes: bo
             group = members.get(lab)
             if group is None:
                 continue  # dissolved: its vertices are in rebuilt components
-            bit = pins.get(lab)
+            bit = pins.get(lab, len(group) == 1 and group[0] & 1)  # the end sides' flag
             for u in group:
                 if u >= emitting:
                     continue
-                if bit is not None:
-                    now = bit != (u & 1)
-                else:
-                    now = left[u >> 1] if u & 1 else False
-                if now == flag[u]:
+                now = bit != (u & 1)
+                if now == (opened[u] > 0):
                     continue
-                flag[u] = now
                 if now:
                     opened[u] = top
                     continue
@@ -372,11 +365,12 @@ def _run(pattern: RankedPattern, shortest: bool = False, collect=None, codes: bo
                 cells += opened[u] - top
                 run = range(top + 1, opened[u] + 1) if u & 1 else range(opened[u], top, -1)
                 runs[u] = [run] if runs[u] is None else runs[u] + [run]
+                opened[u] = 0
 
     if not codes:
         return total_free, steps, None
     for u in range(size):
-        if flag[u]:  # the run reaches letter 1
+        if opened[u]:  # the run reaches letter 1
             cells += opened[u]
             run = range(1, opened[u] + 1) if u & 1 else range(opened[u], 0, -1)
             runs[u] = [run] if runs[u] is None else runs[u] + [run]

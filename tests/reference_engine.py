@@ -17,7 +17,9 @@ prechecks with it, so the reference shares no ranking code with the
 library.
 
 ``make_scaling_pattern`` builds the long matchable patterns of the
-scaling tests (acceptance criterion 5).
+scaling tests (acceptance criterion 5), and ``hub`` the hub family,
+whose sides hold many slots.  The scaling sweeps of
+``tools/bench_rows.py`` import both.
 """
 
 from __future__ import annotations
@@ -518,3 +520,21 @@ def make_scaling_pattern(n: int, top_rank: int = 1000, ruler_max: int = 18) -> R
         symbols.append(var)
         ranks[var] = j
     return RankedPattern(tuple(symbols), ranks)
+
+
+def hub(m, l_ranks=None, ruler=False):
+    """The hub h l1 y1 h l2 y2 ... h lm ym, with rank(h) = m + 1, rank(l_j)
+    = l_ranks[j - 1] (j by default) and rank(y_j) = m + 1 + j.  Every
+    step inserts one l after an h, which touches the component that
+    holds the end side of h and the start side of every y still after
+    an h, and each side of h holds one slot per occurrence.  With
+    ``ruler`` the y's are one variable per ruler value v of j, ranked
+    m + 1 + v, and the pattern clashes from m = 3 on."""
+    symbols, ranks = [], {"h": m + 1}
+    for j, rank in enumerate(l_ranks or range(1, m + 1), 1):
+        value = (j & -j).bit_length() if ruler else j
+        y = ("y", value)
+        symbols += ["h", ("l", j), y]
+        ranks[("l", j)] = rank
+        ranks[y] = m + 1 + value
+    return RankedPattern(symbols, ranks)

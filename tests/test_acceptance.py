@@ -9,6 +9,7 @@ on purpose; blowing one means an algorithmic regression, not noise.
 
 from __future__ import annotations
 
+import gc
 import random
 from collections import Counter
 from itertools import product
@@ -399,14 +400,16 @@ def test_criterion_5_distinct_ruler_smoke():
     the level's insertions touch nearly every old side.  The count's walk
     must stay linear in the positions."""
     n = 1 << 16
-    times = []
+    times, full = [], []  # full: generation-2 collections during each call
     for length in (n // 2, n):
         rp = distinct_ruler(random.Random(5), length=length)
         best = float("inf")
         for _ in range(3):
+            before = gc.get_stats()[2]["collections"]
             t0 = perf_counter()
             walked = matching._run(rp, codes=False)
             best = min(best, perf_counter() - t0)
+            full.append(gc.get_stats()[2]["collections"] - before)
         assert walked is not None
         times.append(best)
     t_half, t_full = times
@@ -416,5 +419,6 @@ def test_criterion_5_distinct_ruler_smoke():
     assert _report(
         "criterion 5, distinct ruler smoke test",
         ok,
-        f"t({n // 2})={t_half:.3f}s t({n})={t_full:.3f}s",
+        f"t({n // 2})={t_half:.3f}s t({n})={t_full:.3f}s, full collections"
+        f" per call {full[:3]} and {full[3:]}",
     )

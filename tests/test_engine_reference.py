@@ -12,7 +12,7 @@ from itertools import chain, product
 import pytest
 
 import reference_engine as ref
-from reference_engine import make_scaling_pattern
+from reference_engine import hub, make_scaling_pattern
 from test_avoidability import canonical_patterns
 from zimin import (
     EnumerationLimitError,
@@ -278,24 +278,6 @@ def test_match_workload_shapes(shape):
         patterns = [chain_in_ruler(at) for at in (0, 63, 127)]
     for pattern in patterns:
         assert assert_same(pattern, enumerate_too=False)
-
-
-def hub(m, l_ranks=None, ruler=False):
-    """The hub h l1 y1 h l2 y2 ... h lm ym, with rank(h) = m + 1, rank(l_j)
-    = l_ranks[j - 1] (j by default) and rank(y_j) = m + 1 + j.  Every
-    step inserts one l after an h, which touches the component that
-    holds the end side of h and the start side of every y still after
-    an h, and each side of h holds one slot per occurrence.  With
-    ``ruler`` the y's are one variable per ruler value v of j, ranked
-    m + 1 + v, and the pattern clashes from m = 3 on."""
-    symbols, ranks = [], {"h": m + 1}
-    for j, rank in enumerate(l_ranks or range(1, m + 1), 1):
-        value = (j & -j).bit_length() if ruler else j
-        y = ("y", value)
-        symbols += ["h", ("l", j), y]
-        ranks[("l", j)] = rank
-        ranks[y] = m + 1 + value
-    return RankedPattern(symbols, ranks)
 
 
 def hub_universe():
