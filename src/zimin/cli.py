@@ -5,8 +5,8 @@ Each printed form reads back through its parser.
 
 Exit codes: 0 for a positive answer, 1 for a negative one (no match,
 not a factor, inconclusive), 2 for bad input, 3 when a size or
-enumeration cap is hit (MAX_RANK_DIGITS here, the exponent and
-run-cell caps of the engine).
+enumeration cap is hit (MAX_RANK_DIGITS here, the exponent cap, and the
+run-cell cap on one match or on all the valuations of an enumeration).
 """
 
 from __future__ import annotations

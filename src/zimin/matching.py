@@ -15,7 +15,7 @@ to l, and the instance count is 2**l.
 
 That system is not rebuilt per level.  Its junction components persist
 from level to level, and an insertion changes only the components that
-hold the old sides it touches, the end side of its left neighbour and
+hold the old sides next to it, the end side of its left neighbour and
 the start side of its right one: pairs between old sides only
 disappear, and both ends of a removed pair are touched.  Only those
 components are rebuilt, by a search from the new sides, to which the
@@ -31,8 +31,8 @@ Each product pays only for what it returns.  One scan of the ranking
 peels the projection and checks both ranking conditions, so a broken
 ranking ends before any level is walked.  A count keeps no flag and
 builds no code.  A match closes each run of letters once and spells
-each code once.  An enumeration keeps, per variable, a table from the
-bits of the free components that hold its sides to its code.
+each code once.  An enumeration doubles the canonical match once per
+free bit.
 """
 
 from __future__ import annotations
@@ -433,18 +433,18 @@ def enumerate_instances(pattern: RankedPattern, limit: int = DEFAULT_ENUM_LIMIT)
 
     The per-level systems do not depend on the bits chosen, so matches
     are exactly the 2**l combinations of the free component bits, all
-    distinct.  Setting the bit of a free component of level i flips the
-    letter i on every side of that component: a start side's letters
+    distinct.  Setting the bit of a free component of level i toggles
+    the letter i on every side of that component: a start side's letters
     precede the code's peak, an end side's follow it.  Bit vectors come
-    in product order over the components _run collects.  Raises
-    EnumerationLimitError (carrying l) instead of materializing more
-    than ``limit`` results, and ValueError on a negative limit.
+    in product order over the components _run collects, the first bit
+    changing slowest.  Raises EnumerationLimitError (carrying l) instead
+    of materializing more than ``limit`` results, SizeLimitError when
+    the valuations could hold more than MAX_RUN_CELLS cells, and
+    ValueError on a negative limit.
 
-    A variable's code depends only on the bits of the components that
-    hold its sides, so each variable keeps a table from its own bits to
-    its code.  From one bit vector to the next only the trailing bits
-    change, and only the codes of the variables they touch are looked
-    up again: after the first match, each costs O(variables).
+    The list starts at the canonical match and doubles once per bit:
+    each valuation, then one dict copy with the bit's letter toggled,
+    each toggle memoized per bit by the variable and its code.
     """
     if limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
@@ -454,42 +454,34 @@ def enumerate_instances(pattern: RankedPattern, limit: int = DEFAULT_ENUM_LIMIT)
     total_free, steps = run[0], run[1]
     if _exceeds(total_free, limit):
         raise EnumerationLimitError(total_free, limit)
-    canonical = _spell(run)
-    names, codes = list(canonical), list(canonical.values())
-    flips = []  # per bit, (variable, its bit in the variable's key)
-    touches: list = [[] for _ in names]  # per variable and bit of its key, (level, sides)
+    # no valuation holds more than the canonical cells and one letter per free side
+    names, bound = run[2][0], (run[2][3] + sum(len(group) for _, group in steps)) << total_free
+    if bound > MAX_RUN_CELLS:
+        raise SizeLimitError(f"valuations would hold up to {bound} cells, cap is {MAX_RUN_CELLS}")
+    out = [_spell(run)]
     for level, group in steps:
-        sides: dict = {}
+        sides: dict = {}  # variable -> its sides in group, end 1 and start 2
         for u in group:
-            sides.setdefault(u >> 1, []).append(u & 1)
-        flips.append([(v, 1 << len(touches[v])) for v in sides])
-        for v, on in sides.items():
-            touches[v].append((level, on))
-    tables = [{0: code} for code in codes]
-    keys = [0] * len(names)
-    out = [canonical]
-    for o in range(1, 1 << total_free):
-        for j in range(total_free - (o & -o).bit_length(), total_free):
-            for v, bit in flips[j]:
-                key = keys[v] = keys[v] ^ bit
-                code = tables[v].get(key)
+            sides[names[u >> 1]] = sides.get(names[u >> 1], 0) | 1 << (u & 1)
+        memo, doubled = {}, []
+        for valuation in out:
+            flipped = valuation.copy()
+            for var, on in sides.items():
+                code = memo.get(key := (var, valuation[var]))
                 if code is None:
-                    code = tables[v][key] = _flipped(tables[v][0], touches[v], key)
-                codes[v] = code
-        out.append(dict(zip(names, codes)))
+                    code = memo[key] = _toggle(key[1], level, on)
+                flipped[var] = code
+            doubled += (valuation, flipped)
+        out = doubled
     return out
 
 
-def _flipped(code, touches, key):
-    """code with the letter of each touch whose bit is set in key flipped
-    on the sides it touches."""
+def _toggle(code, level, on):
+    """code with the letter level toggled on its end (on & 1) and start (on & 2) side."""
     peak = code.index(max(code))
-    letters = [set(code[peak + 1 :]), set(code[:peak])]  # end side, start side
-    for i, (level, sides) in enumerate(touches):
-        if key >> i & 1:
-            for side in sides:
-                letters[side] ^= {level}
-    return (*sorted(letters[1]), code[peak], *sorted(letters[0], reverse=True))
+    start = sorted(set(code[:peak]) ^ {level}) if on & 2 else code[:peak]
+    end = sorted(set(code[peak + 1 :]) ^ {level}, reverse=True) if on & 1 else code[peak + 1 :]
+    return (*start, code[peak], *end)
 
 
 def instance_length(pattern: RankedPattern, valuation) -> int:

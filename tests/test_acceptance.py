@@ -329,15 +329,20 @@ def test_criterion_4_methods_agree():
 def test_criterion_5_complexity_smoke():
     n, top = 100_000, 1000
 
+    full = []  # generation-2 collections during each timed call
     rp_half = make_scaling_pattern(n // 2, top_rank=top)
+    before = gc.get_stats()[2]["collections"]
     t0 = perf_counter()
     compressed_embedding(rp_half)
     t_half = perf_counter() - t0
+    full.append(gc.get_stats()[2]["collections"] - before)
 
     rp = make_scaling_pattern(n, top_rank=top)
+    before = gc.get_stats()[2]["collections"]
     t0 = perf_counter()
     result = compressed_embedding(rp)
     t_full = perf_counter() - t0
+    full.append(gc.get_stats()[2]["collections"] - before)
 
     ok = result is not None
     ok &= t_full < 5.0
@@ -353,7 +358,7 @@ def test_criterion_5_complexity_smoke():
         "criterion 5, complexity smoke test",
         ok,
         f"t({n//2})={t_half:.2f}s t({n})={t_full:.2f}s "
-        f"cells={cells} length_bits={length.bit_length()}",
+        f"cells={cells} length_bits={length.bit_length()}, full collections per call {full}",
     )
 
 
@@ -374,15 +379,20 @@ def test_criterion_5_repeated_pairs_smoke():
     keeps it near the cost of the word alone."""
     k, m = 17, 2000
 
+    full = []  # generation-2 collections during each timed call
     rp_short = _ruler_then_chain(k, m // 8)
+    before = gc.get_stats()[2]["collections"]
     t0 = perf_counter()
     compressed_embedding(rp_short)
     t_short = perf_counter() - t0
+    full.append(gc.get_stats()[2]["collections"] - before)
 
     rp = _ruler_then_chain(k, m)
+    before = gc.get_stats()[2]["collections"]
     t0 = perf_counter()
     result = compressed_embedding(rp)
     t_full = perf_counter() - t0
+    full.append(gc.get_stats()[2]["collections"] - before)
 
     ok = result is not None
     ok &= t_full < 5.0
@@ -390,7 +400,7 @@ def test_criterion_5_repeated_pairs_smoke():
     assert _report(
         "criterion 5, repeated pairs smoke test",
         ok,
-        f"t(m={m // 8})={t_short:.2f}s t(m={m})={t_full:.2f}s",
+        f"t(m={m // 8})={t_short:.2f}s t(m={m})={t_full:.2f}s, full collections per call {full}",
     )
 
 

@@ -410,6 +410,31 @@ def test_refused_enumeration_spells_nothing(monkeypatch):
     assert info.value.free_components == 3 * r - 6 == 29_999_994
 
 
+def test_enumeration_meets_run_cells_cap():
+    """aba with a = 1, b = 12 has l = 20, so a raised limit admits its
+    2^20 valuations, but they could hold (2 + 20) << 20 cells, past
+    MAX_RUN_CELLS: refused before anything is spelled."""
+    rp = RankedPattern(tuple("aba"), {"a": 1, "b": 12})
+
+    def refuse():
+        message = f"^valuations would hold up to 23068672 cells, cap is {MAX_RUN_CELLS}$"
+        with pytest.raises(SizeLimitError, match=message):
+            enumerate_instances(rp, limit=1 << 21)
+
+    assert _best_ms(refuse) < 50
+
+
+def test_enumeration_cells_cap_is_exact(monkeypatch):
+    """aba with a = 1, b = 5: l = 6, 2 canonical cells and 6 free sides,
+    so the bound is 8 << 6 = 512 cells."""
+    rp = RankedPattern(tuple("aba"), {"a": 1, "b": 5})
+    monkeypatch.setattr(matching, "MAX_RUN_CELLS", 512)
+    assert len(enumerate_instances(rp)) == 64
+    monkeypatch.setattr(matching, "MAX_RUN_CELLS", 511)
+    with pytest.raises(SizeLimitError, match="^valuations would hold up to 512 cells, cap is 511$"):
+        enumerate_instances(rp)
+
+
 def _random_ranked_pattern(rng):
     k = rng.randrange(1, 5)
     pool = "abcd"[:k]

@@ -76,7 +76,7 @@ def sweeps():
     """(workload, layer, axis, intended exponent, (sizes, fn) per size) of
     each sweep; an input is built only when its size comes up."""
     from reference_engine import hub, make_scaling_pattern
-    from zimin import compose, compressed_embedding, matching
+    from zimin import RankedPattern, compose, compressed_embedding, enumerate_instances, matching
 
     def chain_ruler(fn):
         for k in (1000, 2000, 4000):
@@ -95,11 +95,17 @@ def sweeps():
             pattern = hub(m)
             yield {"M": m, "n": 3 * m}, lambda: matching._run(pattern, codes=False)
 
+    def abas():
+        for b in (6, 7, 8):
+            pattern = RankedPattern("aba", {"a": 1, "b": b})  # l = 2b - 4
+            yield {"b": b, "valuations": 1 << (2 * b - 4)}, lambda: enumerate_instances(pattern)
+
     return [
         ("chain plus ruler", "matching._run", "K", 0, chain_ruler(matching._run)),
         ("chain plus ruler", "matching.compressed_embedding", "K", 2, chain_ruler(compressed_embedding)),
         ("c(Z_P) split at its peak", "compressed.compose", "P", 1, zimin_halves()),
         ("hub, count walk (codes=False)", "matching._run", "M", 2, hubs()),
+        ("aba with a = 1", "matching.enumerate_instances", "valuations", 1, abas()),
     ]
 
 
